@@ -2,8 +2,9 @@
 
 Metric spaces over genotype representations, finite isometry-group
 quotients modeling genotype-phenotype maps, normalization operators,
-the induced quotient crossovers they define for five representation
-families, and a small GA harness for raw-vs-quotient comparisons.
+the induced quotient crossovers they define for six representation
+families (one registry, `families.FAMILIES`), and a small GA harness
+for raw-vs-quotient comparisons.
 """
 
 from .assignment import hungarian
@@ -36,7 +37,6 @@ from .metrics import euclidean_distance, hamming_distance, in_segment, swap_dist
 from .problems import Problem, build_problem
 from .quotient import (
     GroupAction,
-    Normalizer,
     QuotientPoint,
     induced_quotient_crossover,
     in_quotient_segment,
@@ -60,7 +60,6 @@ __all__ = [
     "GroupAction",
     "InputError",
     "Mask",
-    "Normalizer",
     "OrbitTooLargeError",
     "ParameterError",
     "Permutation",

@@ -14,17 +14,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Literal
 
-import numpy as np
-
-from .crossovers import cycle_crossover
 from .errors import DimensionError, ParameterError, SizeCapError
 from .genotypes import Permutation
 from .metrics import hamming_distance, swap_distance
-from .quotient import GroupAction, Normalizer
+from .quotient import GroupAction
 
 BaseMetric = Literal["hamming", "swap"]
 
-_BASE = {"hamming": hamming_distance, "swap": swap_distance}
+BASE_METRICS = {"hamming": hamming_distance, "swap": swap_distance}
 
 REVERSAL_BFS_CAP = 7
 
@@ -52,9 +49,9 @@ def shift_action(n: int) -> GroupAction:
 
 def _base_metric(base: str):
     try:
-        return _BASE[base]
+        return BASE_METRICS[base]
     except KeyError:
-        raise ParameterError(f"base metric must be one of {sorted(_BASE)}, got {base!r}")
+        raise ParameterError(f"base metric must be one of {sorted(BASE_METRICS)}, got {base!r}")
 
 
 def quotient_distance(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> int:
@@ -76,26 +73,6 @@ def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> P
         if dist < best_d:
             best_k, best_d = k, dist
     return shift(y, best_k)
-
-
-def normalizer(base: BaseMetric = "hamming") -> Normalizer:
-    d = _base_metric(base)
-
-    def norm(x, y):
-        y_star = normalize(x, y, base)
-        return y_star, float(d(x, y_star))
-
-    return Normalizer(normalize=norm, exact=True)
-
-
-def pi_cycle_crossover(
-    x: Permutation,
-    y: Permutation,
-    rng: np.random.Generator,
-    base: BaseMetric = "hamming",
-) -> Permutation:
-    """Position-independent cycle crossover: rotate y toward x, then recombine."""
-    return cycle_crossover(x, normalize(x, y, base), rng)
 
 
 def reversal_distance_bfs(x: Permutation, y: Permutation, cap: int = REVERSAL_BFS_CAP) -> int:

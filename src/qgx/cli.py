@@ -18,12 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circular, graphs, grouping, sequences, suites, symmetric
-from .crossovers import cycle_crossover, line_crossover, uniform_crossover
+from . import suites
 from .errors import InputError, QgxError
+from .families import FAMILIES, Family, Options, format_real
 from .ga import config_from_dict, run_ga
-from .genotypes import permutation, real_vector, symbol_vector
-from .metrics import euclidean_distance, hamming_distance, swap_distance
 from .problems import build_problem
 
 EXIT_OK = 0
@@ -31,195 +29,51 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-GENOTYPE_FAMILIES = (
-    "grouping",
-    "graph",
-    "symmetric-real",
-    "symmetric-discrete",
-    "circular",
-    "sequence",
-)
-
-_DEFAULT_METRIC = {
-    "grouping": "hamming",
-    "graph": "hamming",
-    "symmetric-real": "euclidean",
-    "symmetric-discrete": "hamming",
-    "circular": "hamming",
-    "sequence": "edit",
-}
+GENOTYPE_FAMILIES = FAMILIES
 
 
-def _fmt_real(v: float) -> str:
-    return format(float(v), ".10g")
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split()]
-    except ValueError as exc:
-        raise InputError(f"expected space-separated integers, got {text!r}") from exc
-
-
-def _reals(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split()]
-    except ValueError as exc:
-        raise InputError(f"expected space-separated decimals, got {text!r}") from exc
-
-
-def _require_k(args) -> int:
-    if args.k is None:
-        raise InputError("--k (alphabet size) is required for the grouping family")
-    return args.k
-
-
-def _parse_pair(args):
-    family = args.family
-    if family == "grouping":
-        k = _require_k(args)
-        return symbol_vector(_ints(args.first), k), symbol_vector(_ints(args.second), k)
-    if family == "symmetric-real":
-        return real_vector(_reals(args.first)), real_vector(_reals(args.second))
-    if family == "symmetric-discrete":
-        a, b = _ints(args.first), _ints(args.second)
-        k = args.k if args.k is not None else max(a + b, default=0)
-        return symbol_vector(a, k), symbol_vector(b, k)
-    if family == "circular":
-        return permutation(_ints(args.first)), permutation(_ints(args.second))
-    if family == "graph":
-        return (
-            graphs.parse_edge_list(Path(args.first).read_text()),
-            graphs.parse_edge_list(Path(args.second).read_text()),
-        )
-    return sequences.check_sequence(args.first), sequences.check_sequence(args.second)
-
-
-def _metric_for(args) -> str:
-    metric = args.metric or _DEFAULT_METRIC[args.family]
-    allowed = {
-        "grouping": {"hamming"},
-        "graph": {"hamming"},
-        "symmetric-real": {"euclidean"},
-        "symmetric-discrete": {"hamming"},
-        "circular": {"hamming", "swap"},
-        "sequence": {"edit", "hamming"},
-    }[args.family]
-    if metric not in allowed:
+def _pair(args) -> tuple[Family, Options, tuple]:
+    """The family, its options and the two parsed parents of a pair command."""
+    family = FAMILIES[args.family]
+    metric = args.metric or family.default_metric
+    if metric not in family.metrics:
         raise InputError(
             f"metric {metric!r} is not supported for family {args.family!r} "
-            f"(allowed: {sorted(allowed)})"
+            f"(allowed: {sorted(family.metrics)})"
         )
-    return metric
-
-
-def _graph_match(a, b, args) -> graphs.MatchResult:
-    if len(a) <= graphs.EXACT_MATCH_CAP:
-        return graphs.quotient_distance_exact(a, b)
-    rng = np.random.default_rng(args.seed)
-    return graphs.match_heuristic(a, b, args.restarts, rng)
-
-
-def _print_genotype(family: str, value) -> None:
-    if family == "symmetric-real":
-        print(" ".join(_fmt_real(v) for v in value))
-    elif family == "graph":
-        print(graphs.format_edge_list(value))
-    elif family == "sequence":
-        print(value)
-    else:
-        print(" ".join(str(v) for v in value))
+    k = family.resolve_k(args.first, args.second, args.k)
+    texts = (Path(t).read_text() if family.reads_files else t for t in (args.first, args.second))
+    a, b = (family.parse(text, k) for text in texts)
+    return family, Options(k=k, metric=metric, size=len(a), restarts=args.restarts), (a, b)
 
 
 def cmd_distance(args) -> int:
-    metric = _metric_for(args)
-    a, b = _parse_pair(args)
-    family, mode = args.family, args.mode
-
-    if family == "grouping":
-        value = hamming_distance(a, b) if mode == "raw" else grouping.li_distance(a, b, args.k)
-    elif family == "symmetric-real":
-        value = euclidean_distance(a, b) if mode == "raw" else symmetric.quotient_euclidean(a, b)
-    elif family == "symmetric-discrete":
-        value = hamming_distance(a, b) if mode == "raw" else symmetric.quotient_hamming(a, b)
-    elif family == "circular":
-        base = hamming_distance if metric == "hamming" else swap_distance
-        value = base(a, b) if mode == "raw" else circular.quotient_distance(a, b, metric)
-    elif family == "graph":
-        value = graphs.matrix_hamming(a, b) if mode == "raw" else _graph_match(a, b, args).dist
-    else:  # sequence
-        if metric == "edit":
-            if mode == "raw":
-                raise InputError("raw mode on sequences uses --metric hamming on equal lengths")
-            value = sequences.edit_distance(a, b)
-        else:
-            if mode != "raw":
-                raise InputError("hamming on sequences is the raw (stretched-genotype) metric")
-            value = hamming_distance(a, b)
-
-    print(value if isinstance(value, int) else _fmt_real(value))
+    family, opts, (a, b) = _pair(args)
+    rejected = family.mode_errors.get((opts.metric, args.mode))
+    if rejected:
+        raise InputError(rejected)
+    rng = np.random.default_rng(args.seed)
+    if args.mode == "raw":
+        value = family.metrics[opts.metric](a, b)
+    else:
+        value = family.quotient_distance(opts, rng)(a, b)
+    print(value if isinstance(value, int) else format_real(value))
     return EXIT_OK
 
 
 def cmd_normalize(args) -> int:
-    metric = _metric_for(args)
-    a, b = _parse_pair(args)
-    family = args.family
-
-    if family == "grouping":
-        result = grouping.li_normalize(a, b, args.k)
-    elif family == "symmetric-real":
-        result, _ = symmetric.normalize_real(a, b)
-    elif family == "symmetric-discrete":
-        result, _ = symmetric.normalize_discrete(a, b)
-    elif family == "circular":
-        result = circular.normalize(a, b, metric)
-    elif family == "graph":
-        match = _graph_match(a, b, args)
-        result = graphs.conjugate(b, match.permutation)
-    else:  # sequence: normalization is optimal alignment; print the stretched second parent
-        result = sequences.optimal_align(a, b).right
-
-    _print_genotype(family, result)
+    # sequences normalize by optimal alignment: this prints the stretched second parent
+    family, opts, (a, b) = _pair(args)
+    y_star, _, _ = family.normalize(a, b, opts, np.random.default_rng(args.seed))
+    print(family.format(y_star))
     return EXIT_OK
 
 
 def cmd_crossover(args) -> int:
-    metric = _metric_for(args)
-    a, b = _parse_pair(args)
-    family, mode = args.family, args.mode
+    family, opts, (a, b) = _pair(args)
     rng = np.random.default_rng(args.seed)
-
-    if family == "grouping":
-        child = uniform_crossover(a, b, rng) if mode == "raw" else grouping.li_crossover(a, b, args.k, rng)
-    elif family == "symmetric-real":
-        child = (
-            line_crossover(a, b, float(rng.random()))
-            if mode == "raw"
-            else symmetric.iq_crossover_real(a, b, rng)
-        )
-    elif family == "symmetric-discrete":
-        child = uniform_crossover(a, b, rng) if mode == "raw" else symmetric.iq_crossover_discrete(a, b, rng)
-    elif family == "circular":
-        child = cycle_crossover(a, b, rng) if mode == "raw" else circular.pi_cycle_crossover(a, b, rng, metric)
-    elif family == "graph":
-        if mode == "raw":
-            child = graphs.uniform_edge_crossover(a, b, rng)
-        else:
-            matcher = (
-                graphs.exact_matcher()
-                if len(a) <= graphs.EXACT_MATCH_CAP
-                else graphs.heuristic_matcher(args.restarts)
-            )
-            child = graphs.iq_crossover(a, b, rng, matcher)
-    else:  # sequence
-        child = (
-            sequences.tail_padded_crossover(a, b, rng)
-            if mode == "raw"
-            else sequences.homologous_crossover(a, b, rng)
-        )
-
-    _print_genotype(family, child)
+    xover = family.crossover if args.mode == "raw" else family.quotient_crossover(opts)
+    print(family.format(xover(a, b, rng)))
     return EXIT_OK
 
 
@@ -248,7 +102,7 @@ def cmd_ga(args) -> int:
         writer.writerow(["generation", "best", "mean", "evaluations", "mode", "seed"])
         for s in result.stats:
             writer.writerow(
-                [s.generation, _fmt_real(s.best), _fmt_real(s.mean), s.evaluations, config.mode, config.seed]
+                [s.generation, format_real(s.best), format_real(s.mean), s.evaluations, config.mode, config.seed]
             )
     return EXIT_OK
 

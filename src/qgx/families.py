@@ -1,0 +1,358 @@
+"""The six genotype families, each described once.
+
+A `Family` holds everything the GA, the CLI and the verify suites need
+from one representation: its text form, a suite-scale sampler, the base
+metrics, the isometry group, the normalizer, the quotient distance, the
+raw (base) crossover and mutation. Quotient mode is not written per
+family: `Family.quotient_crossover` builds it from the normalizer and
+the raw crossover with `quotient.induced_quotient_crossover`. Sequences
+are the one exception - stretching is not a group action - and recombine
+with `sequences.homologous_crossover`.
+
+Entries reach the family modules through the module attribute when they
+are called (`circular.normalize(...)`, never a reference kept from
+import time), so replacing a module attribute reaches every caller.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Callable
+
+import numpy as np
+
+from . import circular, crossovers, graphs, grouping, sequences, symmetric
+from .errors import InputError, ParameterError
+from .genotypes import (
+    permutation,
+    random_permutation,
+    random_real_vector,
+    random_symbol_vector,
+    real_vector,
+    symbol_vector,
+)
+from .metrics import Metric, euclidean_distance, hamming_distance
+from .quotient import GroupAction, induced_quotient_crossover
+
+REAL_TOL = 1e-9
+SEQUENCE_ALPHABET = "acgt"
+
+
+@dataclass(frozen=True)
+class Options:
+    """Settings an entry may read.
+
+    `k` is the alphabet size (grouping); `metric` the base metric name,
+    None for the family's default; `size` the genotype size when known:
+    graph matching is exhaustive up to `graphs.EXACT_MATCH_CAP` nodes and
+    heuristic beyond it or when the size is unknown; `restarts` bounds
+    the heuristic matcher.
+    """
+
+    k: int | None = None
+    metric: str | None = None
+    size: int | None = None
+    restarts: int = 20
+
+
+@dataclass(frozen=True)
+class Family:
+    """One genotype family. `opts` is always an `Options`."""
+
+    name: str
+    parse: Callable[[str, int | None], Any]  # one genotype from its text form
+    format: Callable[[Any], str]  # the text form of a genotype
+    sample: Callable[[np.random.Generator, Options], Any]
+    suite: Options  # the sizes the verify suites sample at
+    metrics: dict[str, Metric]  # allowed base metrics; the first is the default
+    action: Callable[[Options], GroupAction]  # the isometry group
+    # (x, y, opts, rng) -> (y*, distance, exact): y* is y moved within its class toward x
+    normalize: Callable
+    quotient_distance: Callable[[Options, np.random.Generator], Metric]
+    crossover: Callable  # raw crossover (x, y, rng), geometric under the base metric
+    mutate: Callable  # (genotype, rate, rng, k, sigma, alphabet)
+    tol: float = 0.0
+    pair_checks: int = 0  # quotient-suite pairs; each enumerates two orbits
+    exact: Callable[[Options], bool] = lambda opts: True  # normalize is exact and draws nothing
+    recombine: Callable | None = None  # quotient crossover when it is not normalize-then-crossover
+    resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
+    reads_files: bool = False  # CLI arguments name files holding the text form
+    mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
+
+    @property
+    def default_metric(self) -> str:
+        return next(iter(self.metrics))
+
+    @property
+    def base_metric(self) -> Metric:
+        return self.metrics[self.default_metric]
+
+    def sampler(self) -> Callable[[np.random.Generator], Any]:
+        return lambda rng: self.sample(rng, self.suite)
+
+    def quotient_crossover(self, opts: Options) -> Callable:
+        """(x, y, rng) -> offspring of the quotient crossover."""
+        if self.recombine is not None:
+            return self.recombine
+        return induced_quotient_crossover(
+            lambda x, y, rng: self.normalize(x, y, opts, rng), self.crossover, self.exact(opts)
+        )
+
+
+# ---------------------------------------------------------------- text forms
+
+def format_real(v: float) -> str:
+    return format(float(v), ".10g")
+
+
+def _ints(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split()]
+    except ValueError as exc:
+        raise InputError(f"expected space-separated integers, got {text!r}") from exc
+
+
+def _reals(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split()]
+    except ValueError as exc:
+        raise InputError(f"expected space-separated decimals, got {text!r}") from exc
+
+
+def _spaced(g) -> str:
+    return " ".join(str(v) for v in g)
+
+
+def _require_k(first: str, second: str, k: int | None) -> int:
+    if k is None:
+        raise InputError("--k (alphabet size) is required for the grouping family")
+    return k
+
+
+def _largest_label(first: str, second: str, k: int | None) -> int:
+    return k if k is not None else max(_ints(first) + _ints(second), default=0)
+
+
+# ---------------------------------------------------------------- operators
+
+def _base(opts: Options) -> str:
+    return opts.metric or "hamming"
+
+
+def _li_normalize(x, y, opts, rng):
+    y_star = grouping.li_normalize(x, y, opts.k)
+    return y_star, hamming_distance(x, y_star), True
+
+
+def _rotate(x, y, opts, rng):
+    y_star = circular.normalize(x, y, _base(opts))
+    return y_star, circular.BASE_METRICS[_base(opts)](x, y_star), True
+
+
+def _graph_exact(opts: Options) -> bool:
+    return opts.size is not None and opts.size <= graphs.EXACT_MATCH_CAP
+
+
+def _graph_match(x, y, opts, rng) -> graphs.MatchResult:
+    if _graph_exact(opts):
+        return graphs.quotient_distance_exact(x, y)
+    return graphs.match_heuristic(x, y, opts.restarts, rng)
+
+
+def _graph_normalize(x, y, opts, rng):
+    match = _graph_match(x, y, opts, rng)
+    return graphs.conjugate(y, match.permutation), match.dist, match.exact
+
+
+def _graph_distance(opts, rng) -> Metric:
+    if _graph_exact(opts):
+        return graphs.make_quotient_hamming()
+    return lambda x, y: _graph_match(x, y, opts, rng).dist
+
+
+def _align(x, y, opts, rng):
+    alignment = sequences.optimal_align(x, y)
+    return alignment.right, alignment.mismatches, True
+
+
+def _no_group(opts):
+    raise ParameterError(
+        "family 'sequence' has no isometry group (the stretch relation is an "
+        "equivalence but not a group action)"
+    )
+
+
+def _sample_sequence(rng: np.random.Generator, opts: Options) -> str:
+    n = int(rng.integers(1, opts.size + 1))
+    alphabet = SEQUENCE_ALPHABET
+    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
+
+
+def _uniform(x, y, rng):
+    return crossovers.uniform_crossover(x, y, rng)
+
+
+# ---------------------------------------------------------------- mutations
+
+def _mutate_symbols(g, rate, rng, k, sigma, alphabet):
+    if k is None or k < 2:
+        return g
+    hits = rng.random(len(g)) < rate
+    out = list(g)
+    for i in np.nonzero(hits)[0]:
+        # uniform over the other k-1 labels
+        v = int(rng.integers(1, k))
+        out[i] = v if v < out[i] else v + 1
+    return tuple(out)
+
+
+def _mutate_reals(g, rate, rng, k, sigma, alphabet):
+    hits = rng.random(len(g)) < rate
+    steps = rng.normal(0.0, sigma, size=len(g))
+    return tuple(v + float(steps[i]) if hits[i] else v for i, v in enumerate(g))
+
+
+def _mutate_swap(g, rate, rng, k, sigma, alphabet):
+    out = list(g)
+    if rng.random() < rate and len(out) >= 2:
+        i = int(rng.integers(0, len(out)))
+        j = int(rng.integers(0, len(out) - 1))
+        if j >= i:
+            j += 1
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _mutate_edges(g, rate, rng, k, sigma, alphabet):
+    n = len(g)
+    hits = rng.random(n * (n - 1) // 2) < rate
+    out = [list(row) for row in g]
+    cell = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if hits[cell]:
+                out[i][j] = out[j][i] = 1 - out[i][j]
+            cell += 1
+    return tuple(tuple(row) for row in out)
+
+
+def _mutate_edit(s, rate, rng, k, sigma, alphabet):
+    """One random substitution, insertion or deletion with probability rate."""
+    if rng.random() >= rate:
+        return s
+    ops = ["substitute", "insert", "delete"]
+    op = ops[int(rng.integers(0, 3))] if s else "insert"
+    if op == "delete" and len(s) <= 1:
+        op = "insert"
+    if op == "insert":
+        pos = int(rng.integers(0, len(s) + 1))
+        ch = alphabet[int(rng.integers(0, len(alphabet)))]
+        return s[:pos] + ch + s[pos:]
+    pos = int(rng.integers(0, len(s)))
+    if op == "delete":
+        return s[:pos] + s[pos + 1 :]
+    ch = alphabet[int(rng.integers(0, len(alphabet)))]
+    return s[:pos] + ch + s[pos + 1 :]
+
+
+# ---------------------------------------------------------------- the registry
+
+_FAMILIES = (
+    Family(
+        name="grouping",
+        parse=lambda text, k: symbol_vector(_ints(text), k),
+        format=_spaced,
+        sample=lambda rng, o: random_symbol_vector(o.size, o.k, rng),
+        suite=Options(k=4, size=6),
+        metrics={"hamming": hamming_distance},
+        action=lambda o: grouping.relabeling_action(o.k),
+        normalize=_li_normalize,
+        quotient_distance=lambda o, rng: lambda x, y: grouping.li_distance(x, y, o.k),
+        crossover=_uniform,
+        mutate=_mutate_symbols,
+        pair_checks=50,
+        resolve_k=_require_k,
+    ),
+    Family(
+        name="graph",
+        parse=lambda text, k: graphs.parse_edge_list(text),
+        format=lambda a: graphs.format_edge_list(a),
+        sample=lambda rng, o: graphs.random_adjacency(o.size, 0.5, rng),
+        suite=Options(size=5),
+        metrics={"hamming": lambda a, b: graphs.matrix_hamming(a, b)},
+        action=lambda o: graphs.conjugation_action(o.size),
+        normalize=_graph_normalize,
+        quotient_distance=_graph_distance,
+        crossover=lambda a, b, rng: graphs.uniform_edge_crossover(a, b, rng),
+        mutate=_mutate_edges,
+        pair_checks=8,
+        exact=_graph_exact,
+        reads_files=True,
+    ),
+    Family(
+        name="symmetric-real",
+        parse=lambda text, k: real_vector(_reals(text)),
+        format=lambda x: " ".join(format_real(v) for v in x),
+        sample=lambda rng, o: random_real_vector(o.size, rng),
+        suite=Options(size=5),
+        metrics={"euclidean": euclidean_distance},
+        action=lambda o: symmetric.coordinate_action(o.size),
+        normalize=lambda x, y, o, rng: (*symmetric.normalize_real(x, y), True),
+        quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
+        crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
+        mutate=_mutate_reals,
+        tol=REAL_TOL,
+        pair_checks=20,
+    ),
+    Family(
+        name="symmetric-discrete",
+        parse=lambda text, k: symbol_vector(_ints(text), k),
+        format=_spaced,
+        sample=lambda rng, o: random_symbol_vector(o.size, o.k, rng),
+        suite=Options(k=3, size=5),
+        metrics={"hamming": hamming_distance},
+        action=lambda o: symmetric.coordinate_action(o.size),
+        normalize=lambda x, y, o, rng: (*symmetric.normalize_discrete(x, y), True),
+        quotient_distance=lambda o, rng: symmetric.quotient_hamming,
+        crossover=_uniform,
+        mutate=_mutate_symbols,
+        pair_checks=20,
+        resolve_k=_largest_label,
+    ),
+    Family(
+        name="circular",
+        parse=lambda text, k: permutation(_ints(text)),
+        format=_spaced,
+        sample=lambda rng, o: random_permutation(o.size, rng),
+        suite=Options(size=7),
+        metrics=circular.BASE_METRICS,
+        action=lambda o: circular.shift_action(o.size),
+        normalize=_rotate,
+        quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
+        crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
+        mutate=_mutate_swap,
+        pair_checks=50,
+    ),
+    Family(
+        name="sequence",
+        parse=lambda text, k: sequences.check_sequence(text),
+        format=str,
+        sample=_sample_sequence,
+        suite=Options(size=12),
+        # edit distance is the class-level distance of stretchings; Hamming
+        # compares stretched (equal-length) genotypes
+        metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
+        action=_no_group,
+        normalize=_align,
+        quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
+        crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
+        mutate=_mutate_edit,
+        recombine=lambda s, t, rng: sequences.homologous_crossover(s, t, rng),
+        mode_errors={
+            ("edit", "raw"): "raw mode on sequences uses --metric hamming on equal lengths",
+            ("hamming", "quotient"): "hamming on sequences is the raw (stretched-genotype) metric",
+        },
+    ),
+)
+
+FAMILIES: dict[str, Family] = {family.name: family for family in _FAMILIES}

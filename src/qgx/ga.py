@@ -1,27 +1,23 @@
 """Generational GA harness with pluggable raw or quotient crossover.
 
 Tournament selection, one elite carried per generation, per-operator
-random streams derived from a single master seed. Fitness evaluation
-consumes no randomness, so evaluating in parallel (QGX_THREADS) cannot
-change any result: runs are bit-reproducible from (problem, config).
-Raw and quotient modes consume identical evaluation budgets, which keeps
-paired comparisons fair.
+random streams derived from a single master seed; fitness evaluation
+consumes no randomness, so runs are bit-reproducible from (problem,
+config). Raw and quotient modes consume identical evaluation budgets,
+which keeps paired comparisons fair.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from . import circular, graphs, grouping, sequences, symmetric
-from .crossovers import cycle_crossover, line_crossover, uniform_crossover
 from .errors import InputError, ParameterError
-from .problems import FAMILIES, Problem
+from .families import FAMILIES, Options
+from .problems import Problem
 
 MODES = ("raw", "quotient")
 
@@ -39,6 +35,10 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "tournament"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.population < 2 or self.population % 2 != 0:
             raise ParameterError(f"population must be even and >= 2, got {self.population}")
         if self.generations < 1:
@@ -96,37 +96,12 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     """Pick the family's base crossover (raw) or its quotient version."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    family = problem.family
-    if family == "grouping":
-        if mode == "raw":
-            return uniform_crossover
-        return lambda a, b, rng: grouping.li_crossover(a, b, problem.k, rng)
-    if family == "symmetric-real":
-        if mode == "raw":
-            return lambda a, b, rng: line_crossover(a, b, float(rng.random()))
-        return symmetric.iq_crossover_real
-    if family == "symmetric-discrete":
-        if mode == "raw":
-            return uniform_crossover
-        return symmetric.iq_crossover_discrete
-    if family == "circular":
-        if mode == "raw":
-            return cycle_crossover
-        return circular.pi_cycle_crossover
-    if family == "graph":
-        if mode == "raw":
-            return graphs.uniform_edge_crossover
-        matcher = (
-            graphs.exact_matcher()
-            if problem.size is not None and problem.size <= graphs.EXACT_MATCH_CAP
-            else graphs.heuristic_matcher()
-        )
-        return lambda a, b, rng: graphs.iq_crossover(a, b, rng, matcher)
-    if family == "sequence":
-        if mode == "raw":
-            return sequences.tail_padded_crossover
-        return sequences.homologous_crossover
-    raise ParameterError(f"unknown family {family!r}")
+    if problem.family not in FAMILIES:
+        raise ParameterError(f"unknown family {problem.family!r}")
+    family = FAMILIES[problem.family]
+    if mode == "raw":
+        return family.crossover
+    return family.quotient_crossover(Options(k=problem.k, size=problem.size))
 
 
 def mutate(
@@ -144,64 +119,7 @@ def mutate(
         raise ParameterError(f"mutation rate must be in [0,1], got {rate}")
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
-
-    if family in ("grouping", "symmetric-discrete"):
-        if k is None or k < 2:
-            return genotype
-        hits = rng.random(len(genotype)) < rate
-        out = list(genotype)
-        for i in np.nonzero(hits)[0]:
-            # uniform over the other k-1 labels
-            v = int(rng.integers(1, k))
-            out[i] = v if v < out[i] else v + 1
-        return tuple(out)
-
-    if family == "symmetric-real":
-        hits = rng.random(len(genotype)) < rate
-        steps = rng.normal(0.0, sigma, size=len(genotype))
-        return tuple(
-            v + float(steps[i]) if hits[i] else v for i, v in enumerate(genotype)
-        )
-
-    if family == "circular":
-        out = list(genotype)
-        if rng.random() < rate and len(out) >= 2:
-            i = int(rng.integers(0, len(out)))
-            j = int(rng.integers(0, len(out) - 1))
-            if j >= i:
-                j += 1
-            out[i], out[j] = out[j], out[i]
-        return tuple(out)
-
-    if family == "graph":
-        n = len(genotype)
-        hits = rng.random(n * (n - 1) // 2) < rate
-        out = [list(row) for row in genotype]
-        cell = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if hits[cell]:
-                    out[i][j] = out[j][i] = 1 - out[i][j]
-                cell += 1
-        return tuple(tuple(row) for row in out)
-
-    # sequence: one random edit with the given probability
-    if rng.random() >= rate:
-        return genotype
-    s = genotype
-    ops = ["substitute", "insert", "delete"]
-    op = ops[int(rng.integers(0, 3))] if s else "insert"
-    if op == "delete" and len(s) <= 1:
-        op = "insert"
-    if op == "insert":
-        pos = int(rng.integers(0, len(s) + 1))
-        ch = alphabet[int(rng.integers(0, len(alphabet)))]
-        return s[:pos] + ch + s[pos:]
-    pos = int(rng.integers(0, len(s)))
-    if op == "delete":
-        return s[:pos] + s[pos + 1 :]
-    ch = alphabet[int(rng.integers(0, len(alphabet)))]
-    return s[:pos] + ch + s[pos + 1 :]
+    return FAMILIES[family].mutate(genotype, rate, rng, k, sigma, alphabet)
 
 
 def _tournament(fitness: list[float], size: int, rng: np.random.Generator) -> int:
@@ -213,16 +131,7 @@ def _tournament(fitness: list[float], size: int, rng: np.random.Generator) -> in
     return best
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        try:
-            threads = int(os.environ.get("QGX_THREADS", "1"))
-        except ValueError:
-            threads = 1
-    return max(1, threads)
-
-
-def run_ga(problem: Problem, config: GAConfig, threads: int | None = None) -> RunResult:
+def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     """Run the GA; deterministic for a fixed (problem, config) pair."""
     xover = crossover_operator(problem, config.mode)
     mut_kwargs = {"k": problem.k}
@@ -232,54 +141,40 @@ def run_ga(problem: Problem, config: GAConfig, threads: int | None = None) -> Ru
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
 
-    threads = _thread_count(threads)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    evaluate = (
-        (lambda pop: list(pool.map(problem.fitness, pop)))
-        if pool is not None
-        else (lambda pop: [problem.fitness(g) for g in pop])
-    )
-
     start = time.perf_counter()
-    try:
-        size = config.population
-        population = [problem.initializer(rng_init) for _ in range(size)]
-        fitness = evaluate(population)
-        evaluations = size
-        elite_i = min(range(size), key=fitness.__getitem__)
-        elite, elite_fit = population[elite_i], fitness[elite_i]
+    size = config.population
+    population = [problem.initializer(rng_init) for _ in range(size)]
+    fitness = [problem.fitness(g) for g in population]
+    evaluations = size
+    elite_i = min(range(size), key=fitness.__getitem__)
+    elite, elite_fit = population[elite_i], fitness[elite_i]
 
-        stats = []
-        for gen in range(1, config.generations + 1):
-            offspring = []
-            while len(offspring) < size:
-                p1 = population[_tournament(fitness, config.tournament, rng_sel)]
-                p2 = population[_tournament(fitness, config.tournament, rng_sel)]
-                if rng_cx.random() < config.crossover_rate:
-                    children = (xover(p1, p2, rng_cx), xover(p2, p1, rng_cx))
-                else:
-                    children = (p1, p2)
-                offspring.extend(children[: size - len(offspring)])
-            offspring = [
-                mutate(c, problem.family, config.mutation_rate, rng_mut, **mut_kwargs)
-                for c in offspring
-            ]
-            fits = evaluate(offspring)
-            evaluations += size
-
-            best_i = min(range(size), key=fits.__getitem__)
-            if fits[best_i] <= elite_fit:
-                elite, elite_fit = offspring[best_i], fits[best_i]
+    stats = []
+    for gen in range(1, config.generations + 1):
+        offspring = []
+        while len(offspring) < size:
+            p1 = population[_tournament(fitness, config.tournament, rng_sel)]
+            p2 = population[_tournament(fitness, config.tournament, rng_sel)]
+            if rng_cx.random() < config.crossover_rate:
+                children = (xover(p1, p2, rng_cx), xover(p2, p1, rng_cx))
             else:
-                worst_i = max(range(size), key=fits.__getitem__)
-                offspring[worst_i], fits[worst_i] = elite, elite_fit
-            population, fitness = offspring, fits
-            stats.append(
-                GenerationStats(gen, elite_fit, sum(fits) / size, evaluations)
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                children = (p1, p2)
+            offspring.extend(children[: size - len(offspring)])
+        offspring = [
+            mutate(c, problem.family, config.mutation_rate, rng_mut, **mut_kwargs)
+            for c in offspring
+        ]
+        fits = [problem.fitness(g) for g in offspring]
+        evaluations += size
+
+        best_i = min(range(size), key=fits.__getitem__)
+        if fits[best_i] <= elite_fit:
+            elite, elite_fit = offspring[best_i], fits[best_i]
+        else:
+            worst_i = max(range(size), key=fits.__getitem__)
+            offspring[worst_i], fits[worst_i] = elite, elite_fit
+        population, fitness = offspring, fits
+        stats.append(GenerationStats(gen, elite_fit, sum(fits) / size, evaluations))
 
     return RunResult(
         stats=tuple(stats),

@@ -50,6 +50,8 @@ def real_vector(values: Iterable[float]) -> RealVector:
 def permutation(values: Iterable[int]) -> Permutation:
     """Validate and freeze a permutation of {1..n}."""
     p = tuple(int(x) for x in values)
+    if not p:
+        raise InputError("permutation must be non-empty")
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p

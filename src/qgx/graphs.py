@@ -26,7 +26,7 @@ from .genotypes import (
     invert_permutation,
     random_permutation,
 )
-from .quotient import GroupAction, Normalizer
+from .quotient import GroupAction
 
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
@@ -131,9 +131,6 @@ class MatchResult(NamedTuple):
     exact: bool
 
 
-Matcher = Callable[[AdjacencyMatrix, AdjacencyMatrix, np.random.Generator], MatchResult]
-
-
 def quotient_distance_exact(
     a: AdjacencyMatrix, b: AdjacencyMatrix, cap: int = EXACT_MATCH_CAP
 ) -> MatchResult:
@@ -200,26 +197,17 @@ def match_heuristic(
     return MatchResult(best_d, best_p, False)
 
 
-def exact_matcher(cap: int = EXACT_MATCH_CAP) -> Matcher:
-    return lambda a, b, rng: quotient_distance_exact(a, b, cap)
-
-
-def heuristic_matcher(restarts: int = 20) -> Matcher:
-    return lambda a, b, rng: match_heuristic(a, b, restarts, rng)
-
-
-def matcher_normalizer(matcher: Matcher, rng: np.random.Generator, exact: bool) -> Normalizer:
-    def norm(a, b):
-        result = matcher(a, b, rng)
-        return conjugate(b, result.permutation), float(result.dist)
-
-    return Normalizer(normalize=norm, exact=exact)
-
-
-def _mask_recombine(
+def uniform_edge_crossover(
     a: AdjacencyMatrix, b: AdjacencyMatrix, rng: np.random.Generator
 ) -> AdjacencyMatrix:
-    """Uniform crossover per upper-triangle cell, mirrored for symmetry."""
+    """Uniform crossover per upper-triangle cell, mirrored for symmetry.
+
+    Recombines the matrices as given: raw mode passes the parents
+    unmatched, quotient mode passes the second parent matched to the
+    first.
+    """
+    if len(a) != len(b):
+        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
     n = len(a)
     child = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -227,30 +215,6 @@ def _mask_recombine(
             bit = a[i][j] if rng.integers(0, 2) == FIRST else b[i][j]
             child[i][j] = child[j][i] = bit
     return tuple(tuple(row) for row in child)
-
-
-def uniform_edge_crossover(
-    a: AdjacencyMatrix, b: AdjacencyMatrix, rng: np.random.Generator
-) -> AdjacencyMatrix:
-    """Raw mask crossover without matching (label-sensitive baseline)."""
-    if len(a) != len(b):
-        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
-    return _mask_recombine(a, b, rng)
-
-
-def iq_crossover(
-    a: AdjacencyMatrix,
-    b: AdjacencyMatrix,
-    rng: np.random.Generator,
-    matcher: Matcher | None = None,
-) -> AdjacencyMatrix:
-    """Graph-match the second parent to the first, then mask-recombine."""
-    if len(a) != len(b):
-        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
-    if matcher is None:
-        matcher = exact_matcher()
-    result = matcher(a, b, rng)
-    return _mask_recombine(a, conjugate(b, result.permutation), rng)
 
 
 def random_adjacency(n: int, edge_prob: float, rng: np.random.Generator) -> AdjacencyMatrix:

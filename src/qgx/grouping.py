@@ -14,10 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .assignment import hungarian
-from .crossovers import mask_crossover, random_mask
 from .errors import DimensionError, InputError
 from .genotypes import (
     Permutation,
@@ -26,7 +23,7 @@ from .genotypes import (
     identity_permutation,
     invert_permutation,
 )
-from .quotient import DEFAULT_ORBIT_CAP, GroupAction, Normalizer
+from .quotient import DEFAULT_ORBIT_CAP, GroupAction
 
 
 def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
@@ -87,20 +84,3 @@ def li_normalize(a: SymbolVector, b: SymbolVector, k: int) -> SymbolVector:
     _check_pair(a, b, k)
     sigma, _ = _best_relabeling(a, b, k)
     return relabel(b, sigma)
-
-
-def li_normalizer(k: int) -> Normalizer:
-    def norm(a, b):
-        _check_pair(a, b, k)
-        sigma, dist = _best_relabeling(a, b, k)
-        return relabel(b, sigma), float(dist)
-
-    return Normalizer(normalize=norm, exact=True)
-
-
-def li_crossover(
-    a: SymbolVector, b: SymbolVector, k: int, rng: np.random.Generator
-) -> SymbolVector:
-    """Uniform crossover of a with the relabeled-to-match b."""
-    b_star = li_normalize(a, b, k)
-    return mask_crossover(a, b_star, random_mask(len(a), rng))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .circular import tour_length
 from .errors import InputError
+from .families import FAMILIES
 from .genotypes import (
     random_permutation,
     random_real_vector,
@@ -23,15 +24,6 @@ from .genotypes import (
 from .graphs import edges_of, random_adjacency
 from .sequences import check_sequence, edit_distance
 from .symmetric import SYMMETRIC_FUNCTIONS
-
-FAMILIES = (
-    "grouping",
-    "symmetric-real",
-    "symmetric-discrete",
-    "circular",
-    "graph",
-    "sequence",
-)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ over one orbit already gives the two-sided minimum, so normalization
 (move the second parent to its in-orbit point closest to the first)
 realizes the quotient distance. A base geometric crossover applied
 after normalization stays inside the quotient segment - that is the
-induced quotient crossover.
+induced quotient crossover, the one quotient mode every family with a
+group runs (see `families`).
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.
@@ -138,42 +139,31 @@ def quotient_distance(
     return min(metric(x, action.apply(g, y)) for g in action.elements)
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Moves the second parent within its class toward the first.
+def induced_quotient_crossover(
+    normalize: Callable[[Point, Point, np.random.Generator], tuple],
+    crossover: Callable[[Point, Point, np.random.Generator], Point],
+    exact: bool = True,
+) -> Callable[[Point, Point, np.random.Generator], Point]:
+    """The quotient crossover induced by a base crossover.
 
-    `normalize(x, y)` returns (y_star, dist) with y_star in the orbit of
-    y. When `exact` is true, dist equals the quotient distance, and the
-    induced crossover below is guaranteed to stay in the quotient
-    segment; heuristic normalizers only upper-bound it.
+    The returned operator normalizes the second parent, then runs the
+    base geometric crossover on (x, y*). `normalize(x, y, rng)` returns
+    (y*, distance, exact) with y* in the class of y. When the normalizer
+    is exact, y* realizes the quotient distance and the offspring stays
+    in the quotient segment; a heuristic normalizer only upper-bounds it.
+
+    An exact normalizer draws no randomness and returns y itself when
+    y == x, so equal parents skip it. A heuristic one may draw from rng
+    and always runs, which keeps the stream's draws independent of
+    whether the parents happen to be equal.
     """
 
-    normalize: Callable[[Point, Point], tuple[Point, float]]
-    exact: bool = True
+    def offspring(x: Point, y: Point, rng: np.random.Generator) -> Point:
+        if not (exact and x == y):
+            y = normalize(x, y, rng)[0]
+        return crossover(x, y, rng)
 
-    def __call__(self, x: Point, y: Point) -> tuple[Point, float]:
-        return self.normalize(x, y)
-
-
-def enumeration_normalizer(
-    action: GroupAction, metric: Metric, cap: int = DEFAULT_ORBIT_CAP
-) -> Normalizer:
-    return Normalizer(
-        normalize=lambda x, y: normalize_by_enumeration(x, y, action, metric, cap),
-        exact=True,
-    )
-
-
-def induced_quotient_crossover(
-    x: Point,
-    y: Point,
-    normalizer: Normalizer,
-    crossover: Callable[[Point, Point, np.random.Generator], Point],
-    rng: np.random.Generator,
-) -> Point:
-    """Normalize the second parent, then run the base geometric crossover."""
-    y_star, _ = normalizer(x, y)
-    return crossover(x, y_star, rng)
+    return offspring
 
 
 def in_quotient_segment(

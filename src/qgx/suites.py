@@ -1,8 +1,9 @@
 """Per-family verification suites: the structural laws run as random checks.
 
-Shared by the CLI `verify` command and the acceptance tests. Family
-dimensions are pinned at desk scale so a full pass stays inside a tight
-time budget:
+Shared by the CLI `verify` command and the acceptance tests. Everything
+a suite needs from a family comes from its `families.FAMILIES` entry;
+dimensions are pinned at desk scale (`Family.suite`) so a full pass
+stays inside a tight time budget:
 
   grouping            length 6, alphabet 4
   graph               5 nodes
@@ -16,10 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import circular, graphs, grouping, sequences, symmetric
+from . import families
 from .errors import ParameterError
-from .genotypes import random_permutation, random_real_vector, random_symbol_vector
-from .metrics import euclidean_distance, hamming_distance
 from .quotient import in_quotient_segment
 from .verify import (
     VerificationReport,
@@ -30,162 +29,65 @@ from .verify import (
 )
 
 SUITES = ("metric", "group", "quotient", "segment")
-FAMILIES = (
-    "grouping",
-    "graph",
-    "symmetric-real",
-    "symmetric-discrete",
-    "circular",
-    "sequence",
-)
-
-REAL_TOL = 1e-9
-
-GROUPING_N, GROUPING_K = 6, 4
-GRAPH_N = 5
-SYMMETRIC_N, SYMMETRIC_K = 5, 3
-CIRCULAR_N = 7
-SEQUENCE_MAX_LEN, SEQUENCE_ALPHABET = 12, "acgt"
+FAMILIES = families.FAMILIES
 
 
-def _sample_sequence(rng: np.random.Generator) -> str:
-    n = int(rng.integers(1, SEQUENCE_MAX_LEN + 1))
-    alphabet = SEQUENCE_ALPHABET
-    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
-
-
-_SAMPLERS = {
-    "grouping": lambda rng: random_symbol_vector(GROUPING_N, GROUPING_K, rng),
-    "graph": lambda rng: graphs.random_adjacency(GRAPH_N, 0.5, rng),
-    "symmetric-real": lambda rng: random_real_vector(SYMMETRIC_N, rng),
-    "symmetric-discrete": lambda rng: random_symbol_vector(SYMMETRIC_N, SYMMETRIC_K, rng),
-    "circular": lambda rng: random_permutation(CIRCULAR_N, rng),
-    "sequence": _sample_sequence,
-}
-
-_BASE_METRICS = {
-    "grouping": (hamming_distance, 0.0),
-    "graph": (graphs.matrix_hamming, 0.0),
-    "symmetric-real": (euclidean_distance, REAL_TOL),
-    "symmetric-discrete": (hamming_distance, 0.0),
-    "circular": (hamming_distance, 0.0),
-    "sequence": (sequences.edit_distance, 0.0),
-}
-
-
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
-def _action(family: str):
-    if family == "grouping":
-        return grouping.relabeling_action(GROUPING_K)
-    if family == "graph":
-        return graphs.conjugation_action(GRAPH_N)
-    if family in ("symmetric-real", "symmetric-discrete"):
-        return symmetric.coordinate_action(SYMMETRIC_N)
-    if family == "circular":
-        return circular.shift_action(CIRCULAR_N)
-    raise ParameterError(
-        f"family {family!r} has no isometry group (the stretch relation is an "
-        "equivalence but not a group action)"
-    )
-
-
-def _quotient_wiring(family: str):
-    """(quotient distance, tolerance, pair-check budget) per family.
-
-    Pair checks re-enumerate both orbits, so families with big orbits get
-    a smaller budget.
-    """
-    if family == "grouping":
-        return (lambda a, b: grouping.li_distance(a, b, GROUPING_K)), 0.0, 50
-    if family == "graph":
-        return graphs.make_quotient_hamming(), 0.0, 8
-    if family == "symmetric-real":
-        return symmetric.quotient_euclidean, REAL_TOL, 20
-    if family == "symmetric-discrete":
-        return symmetric.quotient_hamming, 0.0, 20
-    if family == "circular":
-        return circular.quotient_distance, 0.0, 50
-    raise ParameterError(f"family {family!r} has no quotient metric suite")
-
-
-def _segment_wiring(family: str):
-    """(offspring operator, quotient distance, tolerance) per family."""
-    if family == "grouping":
-        return (
-            lambda x, y, rng: grouping.li_crossover(x, y, GROUPING_K, rng),
-            lambda a, b: grouping.li_distance(a, b, GROUPING_K),
-            0.0,
-        )
-    if family == "graph":
-        matcher = graphs.exact_matcher()
-        return (
-            lambda x, y, rng: graphs.iq_crossover(x, y, rng, matcher),
-            graphs.make_quotient_hamming(),
-            0.0,
-        )
-    if family == "symmetric-real":
-        return symmetric.iq_crossover_real, symmetric.quotient_euclidean, REAL_TOL
-    if family == "symmetric-discrete":
-        return symmetric.iq_crossover_discrete, symmetric.quotient_hamming, 0.0
-    if family == "circular":
-        return circular.pi_cycle_crossover, circular.quotient_distance, 0.0
-    # sequences: edit distance is the class-level distance, and homologous
-    # offspring must sit on tight edit-distance triangles
-    return sequences.homologous_crossover, sequences.edit_distance, 0.0
+def _family(name: str) -> families.Family:
+    if name not in FAMILIES:
+        raise ParameterError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def metric_suite(family: str, trials: int, seed: int) -> VerificationReport:
-    _check_family(family)
-    metric, tol = _BASE_METRICS[family]
+    fam = _family(family)
     rng = np.random.default_rng(seed)
-    return verify_metric_axioms(metric, _SAMPLERS[family], rng, trials, tol)
+    return verify_metric_axioms(fam.base_metric, fam.sampler(), rng, trials, fam.tol)
 
 
 def group_suite(family: str, trials: int, seed: int) -> list[VerificationReport]:
-    _check_family(family)
-    action = _action(family)
-    metric, tol = _BASE_METRICS[family]
+    fam = _family(family)
+    action = fam.action(fam.suite)
     rng = np.random.default_rng(seed)
     return [
-        verify_equivalence(action, _SAMPLERS[family], rng, trials),
-        verify_isometry(action, metric, _SAMPLERS[family], rng, trials, tol),
+        verify_equivalence(action, fam.sampler(), rng, trials),
+        verify_isometry(action, fam.base_metric, fam.sampler(), rng, trials, fam.tol),
     ]
 
 
 def quotient_suite(family: str, trials: int, seed: int) -> VerificationReport:
-    _check_family(family)
-    action = _action(family)
-    metric, tol = _BASE_METRICS[family]
-    qdist, qtol, pair_checks = _quotient_wiring(family)
+    fam = _family(family)
+    action = fam.action(fam.suite)
     rng = np.random.default_rng(seed)
     return verify_quotient_metric(
         action,
-        metric,
-        _SAMPLERS[family],
+        fam.base_metric,
+        fam.sampler(),
         rng,
         trials,
-        tol=max(tol, qtol),
-        quotient_dist=qdist,
-        pair_checks=pair_checks,
+        tol=fam.tol,
+        quotient_dist=fam.quotient_distance(fam.suite, rng),
+        pair_checks=fam.pair_checks,
     )
 
 
 def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
-    _check_family(family)
-    offspring_fn, qdist, tol = _segment_wiring(family)
-    sampler = _SAMPLERS[family]
+    """Offspring of the quotient crossover lie on the quotient segment.
+
+    For sequences the class-level distance is the edit distance, and
+    homologous offspring must sit on tight edit-distance triangles.
+    """
+    fam = _family(family)
+    offspring_fn = fam.quotient_crossover(fam.suite)
+    sampler = fam.sampler()
     rng = np.random.default_rng(seed)
+    qdist = fam.quotient_distance(fam.suite, rng)
     checks = violations = 0
     witness = None
     for _ in range(trials):
         x, y = sampler(rng), sampler(rng)
         z = offspring_fn(x, y, rng)
         checks += 1
-        if not in_quotient_segment(x, z, y, qdist, tol):
+        if not in_quotient_segment(x, z, y, qdist, fam.tol):
             violations += 1
             if witness is None:
                 witness = f"offspring {z!r} outside the quotient segment of ({x!r}, {y!r})"
@@ -193,6 +95,8 @@ def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
 
 
 def run_suite(suite: str, family: str, trials: int, seed: int) -> list[VerificationReport]:
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     if suite == "metric":
         return [metric_suite(family, trials, seed)]
     if suite == "group":

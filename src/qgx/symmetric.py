@@ -13,10 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
 from .assignment import hungarian
-from .crossovers import line_crossover, mask_crossover, random_mask
 from .errors import DimensionError, InputError
 from .genotypes import (
     Permutation,
@@ -26,7 +23,7 @@ from .genotypes import (
     invert_permutation,
 )
 from .metrics import euclidean_distance
-from .quotient import DEFAULT_ORBIT_CAP, GroupAction, Normalizer
+from .quotient import DEFAULT_ORBIT_CAP, GroupAction
 
 
 def permute_coords(x, sigma: Permutation):
@@ -105,34 +102,6 @@ def quotient_euclidean(x: RealVector, y: RealVector) -> float:
 
 def quotient_hamming(x: SymbolVector, y: SymbolVector) -> int:
     return normalize_discrete(x, y)[1]
-
-
-def real_normalizer() -> Normalizer:
-    return Normalizer(normalize=normalize_real, exact=True)
-
-
-def discrete_normalizer() -> Normalizer:
-    def norm(x, y):
-        y_star, dist = normalize_discrete(x, y)
-        return y_star, float(dist)
-
-    return Normalizer(normalize=norm, exact=True)
-
-
-def iq_crossover_real(
-    x: RealVector, y: RealVector, rng: np.random.Generator
-) -> RealVector:
-    """Rearrange y toward x, then blend at a random weight."""
-    y_star, _ = normalize_real(x, y)
-    return line_crossover(x, y_star, float(rng.random()))
-
-
-def iq_crossover_discrete(
-    x: SymbolVector, y: SymbolVector, rng: np.random.Generator
-) -> SymbolVector:
-    """Rearrange y toward x, then uniform crossover."""
-    y_star, _ = normalize_discrete(x, y)
-    return mask_crossover(x, y_star, random_mask(len(x), rng))
 
 
 # Reductions run over sorted values so invariance under coordinate

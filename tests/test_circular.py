@@ -6,8 +6,6 @@ import pytest
 
 from qgx.circular import (
     normalize,
-    normalizer,
-    pi_cycle_crossover,
     quotient_distance,
     read_tsp,
     reversal_distance_bfs,
@@ -16,12 +14,18 @@ from qgx.circular import (
     tour_length,
 )
 from qgx.errors import DimensionError, InputError, ParameterError, SizeCapError
+from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance, swap_distance
 from qgx.verify import verify_equivalence, verify_isometry
 
 from oracles import bfs_swap_distance, enumerate_cycle_offspring, random_perm
 
 FIG6_X, FIG6_Y = (2, 4, 5, 1, 6, 3), (4, 6, 1, 5, 3, 2)
+
+
+def pi_cycle_crossover(x, y, rng):
+    """The circular family's quotient crossover: rotate y toward x, then cycle crossover."""
+    return FAMILIES["circular"].quotient_crossover(Options())(x, y, rng)
 
 
 class TestShift:
@@ -109,11 +113,11 @@ class TestNormalize:
                 assert metric(x, y_star) == quotient_distance(x, y, base)
 
     def test_normalizer_wrapper(self):
-        norm = normalizer("hamming")
-        y_star, dist = norm(FIG6_X, FIG6_Y)
+        normalize_entry = FAMILIES["circular"].normalize
+        y_star, dist, exact = normalize_entry(FIG6_X, FIG6_Y, Options(metric="hamming"), None)
         assert y_star == (2, 4, 6, 1, 5, 3)
         assert dist == 2
-        assert norm.exact
+        assert exact
 
 
 class TestPiCycleCrossover:

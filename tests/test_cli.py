@@ -70,6 +70,11 @@ class TestDistance:
     def test_label_out_of_alphabet(self, capsys):
         assert cli.main(["distance", "--family", "grouping", "--k", "2", "1 3", "2 1"]) == 2
 
+    @pytest.mark.parametrize("command", ["distance", "normalize"])
+    def test_empty_permutation_exit_two(self, capsys, command):
+        assert cli.main([command, "--family", "circular", "", ""]) == 2
+        assert "non-empty" in capsys.readouterr().err
+
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3
 
@@ -157,6 +162,12 @@ class TestVerify:
                       "--trials", "100")
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_exit_two(self, capsys, trials):
+        code = cli.main(["verify", "--suite", "metric", "--family", "grouping", "--trials", trials])
+        assert code == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
     def test_group_suite_rejected_for_sequences(self, capsys):
         code = cli.main(["verify", "--suite", "group", "--family", "sequence"])
         assert code == 2
@@ -198,15 +209,6 @@ class TestGa:
         assert cli.main(["ga", "--config", str(config), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_thread_env_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        config = self._write_config(tmp_path)
-        one, four = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        monkeypatch.setenv("QGX_THREADS", "1")
-        assert cli.main(["ga", "--config", str(config), "--out", str(one)]) == 0
-        monkeypatch.setenv("QGX_THREADS", "4")
-        assert cli.main(["ga", "--config", str(config), "--out", str(four)]) == 0
-        assert one.read_bytes() == four.read_bytes()
-
     def test_paired_modes_share_budget(self, capsys, tmp_path):
         import csv as csvmod
 
@@ -228,6 +230,12 @@ class TestGa:
     def test_invalid_ga_values_exit_two(self, capsys, tmp_path):
         config = self._write_config(tmp_path, population=7)
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("field,value", [("population", 4.0), ("tournament", 1.5)])
+    def test_non_integer_ga_values_exit_two(self, capsys, tmp_path, field, value):
+        config = self._write_config(tmp_path, **{field: value})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_unwritable_output_exit_three(self, capsys, tmp_path):
         config = self._write_config(tmp_path)

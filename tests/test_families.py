@@ -1,0 +1,107 @@
+"""Registry contract: every family entry honours the same laws, and the
+CLI, the suites and problem validation all read the one mapping."""
+
+import numpy as np
+import pytest
+
+from qgx import cli, ga, problems, suites
+from qgx.errors import InputError, ParameterError
+from qgx.families import FAMILIES, Options
+from qgx.problems import Problem
+
+NAMES = list(FAMILIES)
+GROUP_FAMILIES = [name for name in NAMES if FAMILIES[name].recombine is None]
+
+
+def _pairs(family, count, seed):
+    rng = np.random.default_rng(seed)
+    sample = family.sampler()
+    return [(sample(rng), sample(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_format_parse_round_trip(name):
+    family = FAMILIES[name]
+    for x, _ in _pairs(family, 20, 1):
+        text = family.format(x)
+        y = family.parse(text, family.suite.k)
+        assert family.format(y) == text
+        assert family.base_metric(x, y) <= 1e-8  # reals print at ten significant digits
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_exact_normalizer_leaves_equal_parent(name):
+    # the invariant behind skipping normalization of equal parents
+    family = FAMILIES[name]
+    assert family.exact(family.suite)
+    for x, _ in _pairs(family, 30, 2):
+        y_star, dist, exact = family.normalize(x, x, family.suite, None)
+        assert y_star == x
+        assert dist == 0
+        assert exact
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
+    family = FAMILIES[name]
+    qdist = family.quotient_distance(family.suite, None)
+    for x, y in _pairs(family, 20, 3):
+        y_star, dist, _ = family.normalize(x, y, family.suite, None)
+        assert dist == pytest.approx(qdist(x, y), abs=family.tol)
+        if family.recombine is None:
+            assert qdist(y_star, y) == pytest.approx(0, abs=family.tol)
+            assert family.base_metric(x, y_star) == pytest.approx(dist, abs=family.tol)
+
+
+@pytest.mark.parametrize("name", GROUP_FAMILIES)
+def test_quotient_crossover_is_raw_crossover_after_normalization(name):
+    family = FAMILIES[name]
+    xover = family.quotient_crossover(family.suite)
+    for i, (x, y) in enumerate(_pairs(family, 30, 4)):
+        if i % 5 == 0:
+            y = x
+        rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
+        child = xover(x, y, rng_a)
+        y_star = family.normalize(x, y, family.suite, rng_b)[0]
+        assert child == family.crossover(x, y_star, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
+def test_heuristic_graph_matching_runs_for_equal_parents():
+    # the heuristic matcher draws from rng, so it may not be skipped
+    family = FAMILIES["graph"]
+    opts = Options(size=None, restarts=2)
+    assert not family.exact(opts)
+    x = family.sampler()(np.random.default_rng(5))
+    rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+    family.quotient_crossover(opts)(x, x, rng_a)
+    family.normalize(x, x, opts, rng_b)
+    family.crossover(x, x, rng_b)
+    assert rng_a.random() == rng_b.random()
+
+
+def test_one_mapping_behind_every_family_list():
+    assert cli.GENOTYPE_FAMILIES is FAMILIES
+    assert suites.FAMILIES is FAMILIES
+    assert problems.FAMILIES is FAMILIES
+
+
+def test_new_entry_reaches_cli_suites_and_problems(monkeypatch, capsys):
+    monkeypatch.setitem(FAMILIES, "ring", FAMILIES["circular"])
+    args = cli.build_parser().parse_args(["distance", "--family", "ring", "1 2 3", "2 3 1"])
+    assert args.family == "ring"
+    assert cli.main(["distance", "--family", "ring", "1 2 3", "2 3 1"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert suites.metric_suite("ring", 5, 0).ok
+    Problem(name="x", family="ring", fitness=len, initializer=lambda r: ())
+
+
+def test_unknown_family_rejected_everywhere():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["distance", "--family", "trees", "1", "1"])
+    with pytest.raises(ParameterError, match="choose from"):
+        suites.metric_suite("trees", 5, 0)
+    with pytest.raises(InputError):
+        Problem(name="x", family="trees", fitness=len, initializer=lambda r: ())
+    with pytest.raises(ParameterError):
+        ga.mutate((1,), "trees", 0.5, np.random.default_rng(0))

@@ -48,6 +48,11 @@ class TestConfigValidation:
         ("mode", "hybrid"),
         ("seed", -1),
         ("seed", 2**64),
+        ("population", 4.0),
+        ("generations", 2.0),
+        ("tournament", 1.5),
+        ("tournament", True),
+        ("population", "4"),
     ])
     def test_bad_fields_rejected(self, field, value):
         with pytest.raises(ParameterError):
@@ -71,14 +76,6 @@ class TestRunGa:
         assert first.stats == second.stats
         assert first.best_genotype == second.best_genotype
         assert first.best_fitness == second.best_fitness
-
-    def test_thread_count_does_not_change_results(self):
-        problem = coloring_problem(nodes=15, colors=3, edge_prob=0.3, instance_seed=1)
-        config = _tiny_config(seed=11)
-        serial = run_ga(problem, config, threads=1)
-        threaded = run_ga(problem, config, threads=4)
-        assert serial.stats == threaded.stats
-        assert serial.best_genotype == threaded.best_genotype
 
     def test_no_variation_single_generation_keeps_initial_best(self):
         problem = symmetric_problem("sum_of_squares", length=6)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgx.errors import InputError, SizeCapError
+from qgx.families import FAMILIES, Options
 from qgx.genotypes import identity_permutation, invert_permutation, random_permutation
 from qgx.graphs import (
     EXACT_MATCH_CAP,
@@ -15,9 +16,7 @@ from qgx.graphs import (
     conjugate,
     conjugation_action,
     edges_of,
-    exact_matcher,
     format_edge_list,
-    iq_crossover,
     make_quotient_hamming,
     match_heuristic,
     matrix_hamming,
@@ -33,6 +32,11 @@ from oracles import brute_graph_distance
 # the worked 3-node pair: a path graph and a "cherry" with the same shape
 PATH_A = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 PATH_B = ((0, 0, 1), (0, 0, 1), (1, 1, 0))
+
+
+def iq_crossover(a, b, rng):
+    """The graph family's quotient crossover: match b to a exactly, then mask-recombine."""
+    return FAMILIES["graph"].quotient_crossover(Options(size=len(a)))(a, b, rng)
 
 
 class TestAdjacency:
@@ -215,12 +219,11 @@ class TestIqCrossover:
 
     def test_offspring_valid_and_geometric(self):
         rng = np.random.default_rng(14)
-        matcher = exact_matcher()
         for _ in range(200):
             a = random_adjacency(5, 0.5, rng)
             b = random_adjacency(5, 0.5, rng)
-            b_star = conjugate(b, matcher(a, b, rng).permutation)
-            z = iq_crossover(a, b, rng, matcher)
+            b_star = conjugate(b, quotient_distance_exact(a, b).permutation)
+            z = iq_crossover(a, b, rng)
             adjacency(z)
             assert (
                 matrix_hamming(a, z) + matrix_hamming(z, b_star)
@@ -244,21 +247,22 @@ class TestIqCrossover:
             adjacency(uniform_edge_crossover(a, b, rng))
 
     def test_matcher_normalizer_through_generic_layer(self):
-        from qgx.graphs import matcher_normalizer
         from qgx.quotient import induced_quotient_crossover
 
         rng = np.random.default_rng(17)
-        norm = matcher_normalizer(exact_matcher(), rng, exact=True)
+        normalize = FAMILIES["graph"].normalize
+        norm = lambda x, y, r: normalize(x, y, Options(size=5), r)
         qdist = make_quotient_hamming()
         for _ in range(30):
             a = random_adjacency(5, 0.5, rng)
             b = random_adjacency(5, 0.5, rng)
-            b_star, dist = norm(a, b)
+            b_star, dist, exact = norm(a, b, rng)
+            assert exact
             assert dist == qdist(a, b)
             assert matrix_hamming(a, b_star) == dist
             child = induced_quotient_crossover(
-                a, b, norm, lambda x, y, r: uniform_edge_crossover(x, y, r), rng
-            )
+                norm, lambda x, y, r: uniform_edge_crossover(x, y, r)
+            )(a, b, rng)
             assert qdist(a, child) + qdist(child, b) == qdist(a, b)
 
 

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from qgx.errors import DimensionError, InputError
-from qgx.grouping import li_crossover, li_distance, li_normalize, li_normalizer, relabel
+from qgx.families import FAMILIES, Options
+from qgx.grouping import li_distance, li_normalize, relabel
 from qgx.metrics import hamming_distance
 
 from oracles import exhaustive_li_distance, random_symbols
 
 FIG3_X, FIG3_Y, FIG3_K = (1, 2, 3, 1), (2, 1, 2, 3), 3
+
+
+def li_crossover(a, b, k, rng):
+    """The grouping family's quotient crossover: relabel b toward a, then uniform crossover."""
+    return FAMILIES["grouping"].quotient_crossover(Options(k=k))(a, b, rng)
 
 
 class TestRelabel:
@@ -95,14 +101,14 @@ class TestLiNormalize:
             assert li_distance(li_normalize(a, b, 4), b, 4) == 0
 
     def test_normalizer_reports_quotient_distance(self):
-        norm = li_normalizer(4)
+        normalize = FAMILIES["grouping"].normalize
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = random_symbols(rng, 6, 4), random_symbols(rng, 6, 4)
-            b_star, dist = norm(a, b)
+            b_star, dist, exact = normalize(a, b, Options(k=4), rng)
             assert dist == li_distance(a, b, 4)
             assert hamming_distance(a, b_star) == dist
-        assert norm.exact
+            assert exact
 
 
 class TestLiCrossover:

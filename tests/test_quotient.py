@@ -10,8 +10,6 @@ from qgx.errors import OrbitTooLargeError
 from qgx.grouping import relabel, relabeling_action
 from qgx.metrics import hamming_distance
 from qgx.quotient import (
-    Normalizer,
-    enumeration_normalizer,
     in_quotient_segment,
     induced_quotient_crossover,
     normalize_by_enumeration,
@@ -24,6 +22,11 @@ from oracles import exhaustive_li_distance, random_symbols
 
 FIG3_X, FIG3_Y, FIG3_K = (1, 2, 3, 1), (2, 1, 2, 3), 3
 FIG6_X, FIG6_Y = (2, 4, 5, 1, 6, 3), (4, 6, 1, 5, 3, 2)
+
+
+def enumeration_normalizer(action, metric):
+    """Exact normalization by orbit enumeration, in the (y*, dist, exact) form."""
+    return lambda x, y, rng: (*normalize_by_enumeration(x, y, action, metric), True)
 
 
 class TestOrbit:
@@ -136,15 +139,15 @@ class TestInducedCrossover:
 
     def test_all_first_mask_returns_first_parent(self):
         norm = enumeration_normalizer(relabeling_action(FIG3_K), hamming_distance)
-        child = induced_quotient_crossover(
-            FIG3_X, FIG3_Y, norm, self._masked((0, 0, 0, 0)), np.random.default_rng(0)
+        child = induced_quotient_crossover(norm, self._masked((0, 0, 0, 0)))(
+            FIG3_X, FIG3_Y, np.random.default_rng(0)
         )
         assert child == FIG3_X
 
     def test_mask_on_normalized_parent(self):
         norm = enumeration_normalizer(relabeling_action(FIG3_K), hamming_distance)
-        child = induced_quotient_crossover(
-            FIG3_X, FIG3_Y, norm, self._masked((1, 1, 0, 0)), np.random.default_rng(0)
+        child = induced_quotient_crossover(norm, self._masked((1, 1, 0, 0)))(
+            FIG3_X, FIG3_Y, np.random.default_rng(0)
         )
         assert child == (3, 2, 3, 1)
 
@@ -157,8 +160,8 @@ class TestInducedCrossover:
         qd = lambda a, b: quotient_distance(a, b, action, hamming_distance)
         for _ in range(10):
             child = induced_quotient_crossover(
-                x, y, norm, lambda a, b, r: mask_crossover(a, b, random_mask(4, r)), rng
-            )
+                norm, lambda a, b, r: mask_crossover(a, b, random_mask(4, r))
+            )(x, y, rng)
             assert qd(child, x) == 0
             assert qd(child, y) == 0
 
@@ -171,9 +174,34 @@ class TestInducedCrossover:
             x = random_symbols(rng, 6, 3)
             y = random_symbols(rng, 6, 3)
             child = induced_quotient_crossover(
-                x, y, norm, lambda a, b, r: mask_crossover(a, b, random_mask(6, r)), rng
-            )
+                norm, lambda a, b, r: mask_crossover(a, b, random_mask(6, r))
+            )(x, y, rng)
             assert in_quotient_segment(x, child, y, qd)
+
+
+    def test_exact_normalizer_skipped_for_equal_parents(self):
+        calls = []
+
+        def norm(x, y, rng):
+            calls.append((x, y))
+            return y, 0, True
+
+        xover = induced_quotient_crossover(norm, lambda a, b, r: b)
+        assert xover((1, 2), (1, 2), None) == (1, 2)
+        assert calls == []
+        xover((1, 2), (2, 1), None)
+        assert calls == [((1, 2), (2, 1))]
+
+    def test_inexact_normalizer_runs_for_equal_parents(self):
+        # a heuristic normalizer may draw from rng, so skipping it would
+        # shift the stream for every later draw
+        rng = np.random.default_rng(3)
+        norm = lambda x, y, r: (y, float(r.integers(0, 9)), False)
+        xover = induced_quotient_crossover(norm, lambda a, b, r: b, exact=False)
+        xover((1, 2), (1, 2), rng)
+        expected = np.random.default_rng(3)
+        expected.integers(0, 9)
+        assert rng.random() == expected.random()
 
 
 class TestQuotientSegment:
@@ -196,12 +224,6 @@ class TestQuotientSegment:
         # normalized second parent differs from x only at position 1; flipping
         # that position in either direction keeps the point on the segment
         assert in_quotient_segment(FIG3_X, (3, 2, 3, 1), FIG3_Y, qd)
-
-
-def test_normalizer_dataclass_call():
-    norm = Normalizer(normalize=lambda x, y: (y, 0.0), exact=False)
-    assert norm((1,), (2,)) == ((2,), 0.0)
-    assert not norm.exact
 
 
 class TestQuotientPoint:

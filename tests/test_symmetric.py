@@ -8,13 +8,12 @@ import pytest
 
 from qgx.crossovers import line_crossover
 from qgx.errors import DimensionError
+from qgx.families import FAMILIES, Options
 from qgx.genotypes import random_real_vector
 from qgx.metrics import euclidean_distance, hamming_distance, in_segment
 from qgx.symmetric import (
     SYMMETRIC_FUNCTIONS,
     coordinate_action,
-    iq_crossover_discrete,
-    iq_crossover_real,
     normalize_discrete,
     normalize_real,
     normalize_real_assignment,
@@ -31,6 +30,16 @@ from oracles import (
 )
 
 FIG5_X, FIG5_Y = (1.0, 4.0, 5.0), (3.0, 0.0, 6.0)
+
+
+def iq_crossover_real(x, y, rng):
+    """Sort-match y to x, then blend at a random weight."""
+    return FAMILIES["symmetric-real"].quotient_crossover(Options())(x, y, rng)
+
+
+def iq_crossover_discrete(x, y, rng):
+    """Rearrange y toward x by assignment, then uniform crossover."""
+    return FAMILIES["symmetric-discrete"].quotient_crossover(Options())(x, y, rng)
 
 
 class TestPermuteCoords:
