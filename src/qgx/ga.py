@@ -45,6 +45,8 @@ class GAConfig:
             raise ParameterError(f"generations must be >= 1, got {self.generations}")
         for rate_name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, rate_name)
+            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+                raise ParameterError(f"{rate_name} must be a number, got {rate!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"{rate_name} must be in [0,1], got {rate}")
         if self.tournament < 1:

@@ -8,6 +8,7 @@ run is reproducible from the config alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -41,6 +42,11 @@ class Problem:
             raise InputError(f"unknown family {self.family!r}")
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def partitioning_problem(
     nodes: int = 60,
     groups: int = 4,
@@ -49,6 +55,8 @@ def partitioning_problem(
     balance_weight: float = 1.0,
 ) -> Problem:
     """Balanced k-way partitioning: cut size plus quadratic imbalance."""
+    _check_count("nodes", nodes, 1)
+    _check_count("groups", groups, 1)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
     target = nodes / groups
@@ -78,6 +86,8 @@ def coloring_problem(
     instance_seed: int = 0,
 ) -> Problem:
     """Graph coloring: count of monochromatic edges."""
+    _check_count("nodes", nodes, 1)
+    _check_count("colors", colors, 1)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
 
@@ -108,6 +118,7 @@ def tsp_problem(cities: tuple[tuple[float, float], ...], name: str = "tsp") -> P
 
 
 def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
+    _check_count("cities", cities, 3)
     rng = np.random.default_rng(instance_seed)
     coords = tuple((float(x), float(y)) for x, y in rng.random((cities, 2)))
     return tsp_problem(coords)
@@ -123,6 +134,10 @@ def symmetric_problem(
         raise InputError(
             f"unknown symmetric function {function!r}; choose from {sorted(SYMMETRIC_FUNCTIONS)}"
         )
+    _check_count("length", length, 1)
+    # high - low overflowing to inf also covers infinite bounds
+    if not low <= high or not math.isfinite(high - low):
+        raise InputError(f"need finite low <= high, got low={low!r}, high={high!r}")
     fn = SYMMETRIC_FUNCTIONS[function]
     return Problem(
         name=f"symmetric:{function}(n={length})",

@@ -33,29 +33,49 @@ def unstretch(s: str) -> str:
     return s.replace(GAP, "")
 
 
+def _char_masks(s: str) -> dict[str, int]:
+    """peq[c] has bit i set where s[i] == c."""
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(s):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    return peq
+
+
 def edit_distance(s: str, t: str) -> int:
     """Unit-cost Levenshtein distance (insert, delete, replace).
 
-    Row-vectorized: deletion/substitution candidates come from the
-    previous row elementwise, and the insertion chain along the current
-    row is a prefix-min of candidate minus column index.
+    Bit-parallel (Myers 1999, JACM 46(3); Hyyrö 2001) over Python ints:
+    a column of the edit table is two len(s)-bit words of vertical
+    deltas, +1 (Pv) and -1 (Mv), and each character of t advances it
+    with a fixed number of word operations, O(|t| * ceil(|s|/w)) word
+    operations in all for word width w. The score starts at len(s) and
+    follows the horizontal delta of the bottom row.
     """
     if s == t:
         return 0
     m, n = len(s), len(t)
     if m == 0 or n == 0:
         return m + n
-    t_codes = np.fromiter(map(ord, t), count=n, dtype=np.int64)
-    cols = np.arange(n + 1, dtype=np.int64)
-    prev = cols.copy()
-    cand = np.empty(n + 1, dtype=np.int64)
-    for i, ch in enumerate(s, 1):
-        cand[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + (t_codes != ord(ch)), out=cand[1:])
-        shifted = cand - cols
-        np.minimum.accumulate(shifted, out=shifted)
-        prev = shifted + cols
-    return int(prev[n])
+    peq = _char_masks(s)
+    full = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for ch in t:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # row 0 holds D[0][j] = j, so its horizontal delta is always +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 @dataclass(frozen=True)
@@ -77,49 +97,56 @@ class Alignment:
         return sum(a != b for a, b in zip(self.left, self.right))
 
 
-def _edit_table(s: str, t: str) -> list[list[int]]:
-    m, n = len(s), len(t)
-    dp = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        dp[i][0] = i
-    for j in range(n + 1):
-        dp[0][j] = j
-    for i in range(1, m + 1):
-        row, above = dp[i], dp[i - 1]
-        si = s[i - 1]
-        for j in range(1, n + 1):
-            row[j] = min(
-                above[j - 1] + (si != t[j - 1]),
-                above[j] + 1,
-                row[j - 1] + 1,
-            )
-    return dp
-
-
 def optimal_align(s: str, t: str) -> Alignment:
     """Minimal-mismatch stretching of s and t to a common length.
 
     The mismatch count of the result equals the edit distance. Backtrace
     ties resolve match > substitute > delete > insert, scanning from the
     end, which pins one canonical alignment per input pair.
+
+    The edit table comes from the recurrence of `edit_distance` with
+    every column j kept as its delta words (Pv_j, Mv_j); a cell is read
+    only when the backtrace visits it, as
+    D[i][j] = j + popcount(Pv_j & (2^i - 1)) - popcount(Mv_j & (2^i - 1)).
+    Memory is n + 1 pairs of m-bit ints (m = len(s), n = len(t)), about
+    m * n / 4 bits, where a full table takes (m + 1)(n + 1) Python ints.
     """
     check_sequence(s)
     check_sequence(t)
-    dp = _edit_table(s, t)
+    m, n = len(s), len(t)
+    peq = _char_masks(s)
+    full = (1 << m) - 1
+    pv, mv = full, 0
+    cols = [(pv, mv)]
+    for ch in t:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) << 1) | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+        cols.append((pv, mv))
+
+    def dp(i: int, j: int) -> int:
+        below = (1 << i) - 1
+        col_pv, col_mv = cols[j]
+        return j + (col_pv & below).bit_count() - (col_mv & below).bit_count()
+
     left: list[str] = []
     right: list[str] = []
-    i, j = len(s), len(t)
+    i, j = m, n
     while i > 0 or j > 0:
-        here = dp[i][j]
-        if i > 0 and j > 0 and s[i - 1] == t[j - 1] and dp[i - 1][j - 1] == here:
+        here = dp(i, j)
+        if i > 0 and j > 0 and s[i - 1] == t[j - 1] and dp(i - 1, j - 1) == here:
             i, j = i - 1, j - 1
             left.append(s[i])
             right.append(t[j])
-        elif i > 0 and j > 0 and dp[i - 1][j - 1] + 1 == here:
+        elif i > 0 and j > 0 and dp(i - 1, j - 1) + 1 == here:
             i, j = i - 1, j - 1
             left.append(s[i])
             right.append(t[j])
-        elif i > 0 and dp[i - 1][j] + 1 == here:
+        elif i > 0 and dp(i - 1, j) + 1 == here:
             i -= 1
             left.append(s[i])
             right.append(GAP)

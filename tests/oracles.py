@@ -104,8 +104,9 @@ def brute_assignment(cost) -> float:
     )
 
 
-def dp_edit_distance(s: str, t: str) -> int:
-    """Plain quadratic DP, no vectorization."""
+def dp_edit_table(s: str, t: str) -> list[list[int]]:
+    """Plain quadratic edit table, no vectorization: dp[i][j] is the
+    distance between s[:i] and t[:j]."""
     m, n = len(s), len(t)
     dp = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
@@ -113,13 +114,47 @@ def dp_edit_distance(s: str, t: str) -> int:
     for j in range(n + 1):
         dp[0][j] = j
     for i in range(1, m + 1):
+        row, above = dp[i], dp[i - 1]
+        si = s[i - 1]
         for j in range(1, n + 1):
-            dp[i][j] = min(
-                dp[i - 1][j - 1] + (s[i - 1] != t[j - 1]),
-                dp[i - 1][j] + 1,
-                dp[i][j - 1] + 1,
+            row[j] = min(
+                above[j - 1] + (si != t[j - 1]),
+                above[j] + 1,
+                row[j - 1] + 1,
             )
-    return dp[m][n]
+    return dp
+
+
+def dp_edit_distance(s: str, t: str) -> int:
+    return dp_edit_table(s, t)[len(s)][len(t)]
+
+
+def dp_optimal_align(s: str, t: str) -> tuple[str, str]:
+    """Backtrace over the full table; ties resolve match > substitute >
+    delete > insert, scanning from the end."""
+    dp = dp_edit_table(s, t)
+    left: list[str] = []
+    right: list[str] = []
+    i, j = len(s), len(t)
+    while i > 0 or j > 0:
+        here = dp[i][j]
+        if i > 0 and j > 0 and s[i - 1] == t[j - 1] and dp[i - 1][j - 1] == here:
+            i, j = i - 1, j - 1
+            left.append(s[i])
+            right.append(t[j])
+        elif i > 0 and j > 0 and dp[i - 1][j - 1] + 1 == here:
+            i, j = i - 1, j - 1
+            left.append(s[i])
+            right.append(t[j])
+        elif i > 0 and dp[i - 1][j] + 1 == here:
+            i -= 1
+            left.append(s[i])
+            right.append("-")
+        else:
+            j -= 1
+            left.append("-")
+            right.append(t[j])
+    return "".join(reversed(left)), "".join(reversed(right))
 
 
 def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:

@@ -230,11 +230,14 @@ def test_criterion_11_performance_floor():
     s = "".join("acgt"[int(i)] for i in rng.integers(0, 4, size=2000))
     t = "".join("acgt"[int(i)] for i in rng.integers(0, 4, size=2000))
     edit_time = _best_time(lambda: sequences.edit_distance(s, t), repeats=3)
+    # a full pure-Python alignment table takes seconds at this size
+    align_time = _best_time(lambda: sequences.optimal_align(s, t), repeats=3)
 
-    ok = hungarian_time < 1.0 and edit_time < 1.0
+    ok = hungarian_time < 1.0 and edit_time < 1.0 and align_time < 0.25
     _criterion(11, "performance floor", ok,
                f"hungarian 200x200 {hungarian_time * 1e3:.0f}ms, "
-               f"edit 2000x2000 {edit_time * 1e3:.0f}ms")
+               f"edit 2000x2000 {edit_time * 1e3:.0f}ms, "
+               f"align 2000x2000 {align_time * 1e3:.0f}ms")
 
 
 def test_criterion_12_soft_trend_report():

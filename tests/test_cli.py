@@ -181,10 +181,10 @@ class TestVerify:
 
 
 class TestGa:
-    def _write_config(self, tmp_path, **ga_overrides):
+    def _write_config(self, tmp_path, problem=None, **ga_overrides):
         doc = {
-            "problem": {"name": "coloring", "nodes": 12, "colors": 3,
-                        "edge_prob": 0.3, "instance_seed": 2},
+            "problem": problem or {"name": "coloring", "nodes": 12, "colors": 3,
+                                   "edge_prob": 0.3, "instance_seed": 2},
             "ga": {"population": 8, "generations": 4, "crossover_rate": 0.9,
                    "mutation_rate": 0.1, "tournament": 2, "mode": "quotient",
                    "seed": 3},
@@ -236,6 +236,23 @@ class TestGa:
         config = self._write_config(tmp_path, **{field: value})
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("mutation_rate", "0.5"), ("crossover_rate", True)])
+    def test_non_numeric_rates_exit_two(self, capsys, tmp_path, field, value):
+        config = self._write_config(tmp_path, **{field: value})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", [
+        {"name": "partitioning", "groups": 0},
+        {"name": "partitioning", "nodes": -3},
+        {"name": "symmetric", "low": 2, "high": 1},
+        {"name": "symmetric", "length": 0},
+    ])
+    def test_bad_problem_sizes_exit_two(self, capsys, tmp_path, problem):
+        config = self._write_config(tmp_path, problem=problem)
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unwritable_output_exit_three(self, capsys, tmp_path):
         config = self._write_config(tmp_path)

@@ -53,10 +53,16 @@ class TestConfigValidation:
         ("tournament", 1.5),
         ("tournament", True),
         ("population", "4"),
+        ("mutation_rate", "0.5"),
+        ("crossover_rate", True),
     ])
     def test_bad_fields_rejected(self, field, value):
         with pytest.raises(ParameterError):
             GAConfig(**{"population": 4, "generations": 1, field: value})
+
+    def test_integer_rates_accepted(self):
+        config = GAConfig(population=4, generations=1, crossover_rate=1, mutation_rate=0)
+        assert (config.crossover_rate, config.mutation_rate) == (1, 0)
 
     def test_config_from_dict_unknown_key(self):
         with pytest.raises(InputError):

@@ -17,11 +17,19 @@ from qgx.sequences import (
     unstretch,
 )
 
-from oracles import dp_edit_distance, random_string
+from oracles import dp_edit_distance, dp_optimal_align, random_string
 
 WORKED_S, WORKED_T = "agcacaca", "acacacta"
 
-short_text = st.text(alphabet="acgt", max_size=12)
+@st.composite
+def text_pairs(draw):
+    """Two strings over one alphabet, lengths 0-150 so that the bit-vector
+    columns span several machine words; one alphabet is non-ASCII."""
+    alphabet = draw(st.sampled_from(["acgt", "ab", "aé€漢🧬"]))
+    return tuple(
+        draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
+        for n in (draw(st.integers(0, 150)), draw(st.integers(0, 150)))
+    )
 
 
 class _AllFirstRng:
@@ -56,9 +64,9 @@ class TestEditDistance:
     def test_worked_pair(self):
         assert edit_distance(WORKED_S, WORKED_T) == 2
 
-    @given(short_text, short_text)
-    def test_matches_plain_dp(self, s, t):
-        assert edit_distance(s, t) == dp_edit_distance(s, t)
+    @given(text_pairs())
+    def test_matches_plain_dp(self, pair):
+        assert edit_distance(*pair) == dp_edit_distance(*pair)
 
     @given(st.text(alphabet="acgt", max_size=15),
            st.text(alphabet="acgt", max_size=15),
@@ -83,6 +91,11 @@ class TestOptimalAlign:
     def test_pure_insertion(self):
         alignment = optimal_align("", "ab")
         assert (alignment.left, alignment.right) == ("--", "ab")
+
+    @given(text_pairs())
+    def test_matches_full_table_backtrace(self, pair):
+        alignment = optimal_align(*pair)
+        assert (alignment.left, alignment.right) == dp_optimal_align(*pair)
 
     def test_mismatches_equal_edit_distance(self):
         rng = np.random.default_rng(0)
