@@ -37,9 +37,7 @@ from .metrics import euclidean_distance, hamming_distance, in_segment, swap_dist
 from .problems import Problem, build_problem
 from .quotient import (
     GroupAction,
-    QuotientPoint,
     induced_quotient_crossover,
-    in_quotient_segment,
     normalize_by_enumeration,
     orbit,
     quotient_distance,
@@ -65,7 +63,6 @@ __all__ = [
     "Permutation",
     "Problem",
     "QgxError",
-    "QuotientPoint",
     "RealVector",
     "RunResult",
     "SizeCapError",
@@ -76,7 +73,6 @@ __all__ = [
     "euclidean_distance",
     "hamming_distance",
     "hungarian",
-    "in_quotient_segment",
     "in_segment",
     "induced_quotient_crossover",
     "line_crossover",

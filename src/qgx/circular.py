@@ -4,17 +4,16 @@ Gluing head to tail makes the n rotations of a permutation encode the
 same cycle, and the rotation group is an isometry of both Hamming and
 swap distance. Normalization tries all n rotations of the second parent
 and keeps the closest; cycle crossover applied afterwards is the
-position-independent cycle crossover. A small BFS oracle for reversal
-distance is included for study; recombination along reversal geodesics
-is out of reach (sorting by reversals is NP-hard) and not provided.
+position-independent cycle crossover. Reversal distance is not offered:
+recombination along reversal geodesics is out of reach (sorting by
+reversals is NP-hard).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Literal
 
-from .errors import DimensionError, ParameterError, SizeCapError
+from .errors import DimensionError, ParameterError
 from .genotypes import Permutation
 from .metrics import hamming_distance, swap_distance
 from .quotient import GroupAction
@@ -22,9 +21,6 @@ from .quotient import GroupAction
 BaseMetric = Literal["hamming", "swap"]
 
 BASE_METRICS = {"hamming": hamming_distance, "swap": swap_distance}
-
-REVERSAL_BFS_CAP = 7
-
 
 def shift(p: Permutation, k: int) -> Permutation:
     """Rotate right by k steps: the last k entries move to the front."""
@@ -73,53 +69,6 @@ def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> P
         if dist < best_d:
             best_k, best_d = k, dist
     return shift(y, best_k)
-
-
-def reversal_distance_bfs(x: Permutation, y: Permutation, cap: int = REVERSAL_BFS_CAP) -> int:
-    """Exact reversal distance by breadth-first search over reversal moves.
-
-    A move reverses the subsequence between any two positions. Only tiny
-    instances are explored (n! states), hence the hard cap.
-    """
-    if len(x) != len(y):
-        raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n > cap:
-        raise SizeCapError(f"reversal BFS capped at n={cap}, got n={n}")
-    if x == y:
-        return 0
-    moves = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = {x}
-    frontier = deque([(x, 0)])
-    while frontier:
-        p, dist = frontier.popleft()
-        for i, j in moves:
-            q = p[:i] + p[i : j + 1][::-1] + p[j + 1 :]
-            if q == y:
-                return dist + 1
-            if q not in seen:
-                seen.add(q)
-                frontier.append((q, dist + 1))
-    raise AssertionError("reversal moves connect all permutations")  # pragma: no cover
-
-
-def read_tsp(text: str) -> tuple[tuple[float, float], ...]:
-    """Parse a TSP instance: a count line then one "x y" line per city."""
-    from .errors import InputError
-
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise InputError("empty TSP instance")
-    try:
-        n = int(lines[0])
-        cities = tuple(
-            (float(a), float(b)) for a, b in (ln.split() for ln in lines[1 : n + 1])
-        )
-    except ValueError as exc:
-        raise InputError(f"bad TSP instance: {exc}") from exc
-    if len(cities) != n:
-        raise InputError(f"TSP instance announces {n} cities, found {len(cities)}")
-    return cities
 
 
 def tour_length(tour: Permutation, cities: tuple[tuple[float, float], ...]) -> float:

@@ -29,7 +29,7 @@ def hamming_distance(a: Sequence, b: Sequence) -> int:
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     _require_same_length(a, b)
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return math.dist(a, b)
 
 
 def swap_distance(p: Permutation, q: Permutation) -> int:

@@ -23,7 +23,7 @@ from .genotypes import (
     random_symbol_vector,
 )
 from .graphs import edges_of, random_adjacency
-from .sequences import check_sequence, edit_distance
+from .sequences import GAP, check_sequence, edit_distance
 from .symmetric import SYMMETRIC_FUNCTIONS
 
 
@@ -47,6 +47,11 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_probability(name: str, value) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1:
+        raise InputError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
 def partitioning_problem(
     nodes: int = 60,
     groups: int = 4,
@@ -57,6 +62,7 @@ def partitioning_problem(
     """Balanced k-way partitioning: cut size plus quadratic imbalance."""
     _check_count("nodes", nodes, 1)
     _check_count("groups", groups, 1)
+    _check_probability("edge_prob", edge_prob)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
     target = nodes / groups
@@ -88,6 +94,7 @@ def coloring_problem(
     """Graph coloring: count of monochromatic edges."""
     _check_count("nodes", nodes, 1)
     _check_count("colors", colors, 1)
+    _check_probability("edge_prob", edge_prob)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
 
@@ -153,6 +160,8 @@ def sequence_problem(target: str, alphabet: str = "acgt") -> Problem:
     check_sequence(target)
     if not target or not alphabet:
         raise InputError("target and alphabet must be non-empty")
+    if GAP in alphabet:
+        raise InputError(f"alphabet may not contain the gap symbol {GAP!r}: {alphabet!r}")
 
     def init(rng: np.random.Generator) -> str:
         n = int(rng.integers(1, 2 * len(target) + 1))

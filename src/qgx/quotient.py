@@ -6,9 +6,9 @@ between their orbits. Because the group acts by isometries, minimizing
 over one orbit already gives the two-sided minimum, so normalization
 (move the second parent to its in-orbit point closest to the first)
 realizes the quotient distance. A base geometric crossover applied
-after normalization stays inside the quotient segment - that is the
-induced quotient crossover, the one quotient mode every family with a
-group runs (see `families`).
+after normalization stays inside the quotient segment (`metrics.in_segment`
+under the quotient distance) - that is the induced quotient crossover,
+the one quotient mode every family with a group runs (see `families`).
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.
@@ -61,32 +61,6 @@ def trivial_action() -> GroupAction:
         compose=lambda g, h: "e",
         inverse=lambda g: "e",
     )
-
-
-@dataclass(frozen=True, eq=False)
-class QuotientPoint:
-    """An equivalence class, stored as one representative plus the action.
-
-    Equality tests orbit membership without materializing the orbit;
-    hashing needs a canonical member, so it does enumerate (capped).
-    """
-
-    representative: Point
-    action: GroupAction
-
-    def members(self, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
-        return orbit(self.representative, self.action, cap)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientPoint) or self.action is not other.action:
-            return NotImplemented
-        return any(
-            self.action.apply(g, other.representative) == self.representative
-            for g in self.action.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.action.name, min(self.members())))
 
 
 def _check_cap(action: GroupAction, cap: int) -> None:
@@ -164,17 +138,3 @@ def induced_quotient_crossover(
         return crossover(x, y, rng)
 
     return offspring
-
-
-def in_quotient_segment(
-    x: Point,
-    z: Point,
-    y: Point,
-    quotient_metric: Callable[[Point, Point], float],
-    tol: float = 0.0,
-) -> bool:
-    """True iff the quotient triangle inequality is tight at z (within tol)."""
-    dxz = quotient_metric(x, z)
-    dzy = quotient_metric(z, y)
-    dxy = quotient_metric(x, y)
-    return abs(dxz + dzy - dxy) <= tol

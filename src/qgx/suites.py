@@ -19,9 +19,10 @@ import numpy as np
 
 from . import families
 from .errors import ParameterError
-from .quotient import in_quotient_segment
+from .metrics import in_segment
 from .verify import (
     VerificationReport,
+    _Tally,
     verify_equivalence,
     verify_isometry,
     verify_metric_axioms,
@@ -81,17 +82,15 @@ def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
     sampler = fam.sampler()
     rng = np.random.default_rng(seed)
     qdist = fam.quotient_distance(fam.suite, rng)
-    checks = violations = 0
-    witness = None
+    tally = _Tally(f"segment[{family}]")
     for _ in range(trials):
         x, y = sampler(rng), sampler(rng)
         z = offspring_fn(x, y, rng)
-        checks += 1
-        if not in_quotient_segment(x, z, y, qdist, fam.tol):
-            violations += 1
-            if witness is None:
-                witness = f"offspring {z!r} outside the quotient segment of ({x!r}, {y!r})"
-    return VerificationReport(f"segment[{family}]", checks, violations, witness)
+        tally.check(
+            in_segment(x, z, y, qdist, fam.tol),
+            lambda: f"offspring {z!r} outside the quotient segment of ({x!r}, {y!r})",
+        )
+    return tally.report()
 
 
 def run_suite(suite: str, family: str, trials: int, seed: int) -> list[VerificationReport]:

@@ -72,20 +72,6 @@ def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     return y_star, euclidean_distance(x, y_star)
 
 
-def normalize_real_assignment(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
-    """Same minimization through the assignment route (cross-check path).
-
-    Cost of putting y_j at slot i is (x_i - y_j)^2; minimizing the sum of
-    squares minimizes the Euclidean distance.
-    """
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
-    cost = [[(xi - yj) ** 2 for yj in y] for xi in x]
-    assign, _ = hungarian(cost)
-    y_star = tuple(y[assign[i] - 1] for i in range(len(x)))
-    return y_star, euclidean_distance(x, y_star)
-
-
 def normalize_discrete(x: SymbolVector, y: SymbolVector) -> tuple[SymbolVector, int]:
     """Rearrangement of y minimizing Hamming distance to x (assignment)."""
     if len(x) != len(y):

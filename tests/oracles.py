@@ -2,7 +2,9 @@
 
 Everything here takes the dumb route (breadth-first search, exhaustive
 enumeration, plain quadratic DP, matrix products) and shares no code
-with the library paths it checks.
+with the library paths it checks. The one exception is
+`normalize_real_assignment`, which checks sort-matching of real
+vectors through the library's Hungarian solver instead of a sort.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 from collections import deque
 
 import numpy as np
+
+from qgx.assignment import hungarian
 
 
 def bfs_swap_distance(p: tuple, q: tuple) -> int:
@@ -93,6 +97,37 @@ def brute_graph_distance(a: tuple, b: tuple) -> int:
         d = int((p @ mat_b @ p.T != mat_a).sum())
         best = d if best is None or d < best else best
     return best
+
+
+def loop_graph_match(a: tuple, b: tuple) -> tuple[int, tuple]:
+    """The n!-loop graph matcher: (distance, 1-based relabeling of b).
+
+    Permutations run in lexicographic order and only a strictly smaller
+    distance replaces the best, so the first optimum wins ties.
+    """
+    n = len(a)
+    best_d = None
+    best_p = None
+    for p in itertools.permutations(range(1, n + 1)):
+        relabeled = tuple(tuple(b[p[i] - 1][p[j] - 1] for j in range(n)) for i in range(n))
+        d = sum(_hamming(ra, rb) for ra, rb in zip(a, relabeled))
+        if best_d is None or d < best_d:
+            best_d, best_p = d, p
+            if d == 0:
+                break
+    return best_d, best_p
+
+
+def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:
+    """Rearrangement of y closest to x through the assignment route.
+
+    Cost of putting y_j at slot i is (x_i - y_j)^2; minimizing the sum of
+    squares minimizes the Euclidean distance.
+    """
+    cost = [[(xi - yj) ** 2 for yj in y] for xi in x]
+    assign, _ = hungarian(cost)
+    y_star = tuple(y[assign[i] - 1] for i in range(len(x)))
+    return y_star, _euclidean(x, y_star)
 
 
 def brute_assignment(cost) -> float:

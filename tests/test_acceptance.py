@@ -22,6 +22,7 @@ from oracles import (
     brute_graph_distance,
     exhaustive_li_distance,
     exhaustive_symmetric_real,
+    normalize_real_assignment,
     random_string,
     random_symbols,
 )
@@ -177,7 +178,7 @@ def test_criterion_08_oracle_equivalence():
         y = tuple(float(v) for v in rng.uniform(-5, 5, size=n))
         enum = exhaustive_symmetric_real(x, y)
         _, by_sort = symmetric.normalize_real(x, y)
-        _, by_assignment = symmetric.normalize_real_assignment(x, y)
+        _, by_assignment = normalize_real_assignment(x, y)
         if abs(by_sort - enum) > REAL_TOL or abs(by_assignment - enum) > REAL_TOL:
             mismatches += 1
 

@@ -1,5 +1,5 @@
-"""Rotation quotients of permutations and the position-independent
-cycle crossover; reversal-distance BFS oracle."""
+"""Rotation quotients of permutations, the position-independent cycle
+crossover, and tour length."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ import pytest
 from qgx.circular import (
     normalize,
     quotient_distance,
-    read_tsp,
-    reversal_distance_bfs,
     shift,
     shift_action,
     tour_length,
 )
-from qgx.errors import DimensionError, InputError, ParameterError, SizeCapError
+from qgx.errors import DimensionError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance, swap_distance
 from qgx.verify import verify_equivalence, verify_isometry
@@ -165,40 +163,15 @@ class TestShiftGroupStructure:
         assert verify_isometry(action, swap_distance, sampler, rng, 300).ok
 
 
-class TestReversalDistance:
-    def test_identity(self):
-        assert reversal_distance_bfs((1, 2, 3), (1, 2, 3)) == 0
+class TestTourLength:
+    UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
-    def test_single_prefix_reversal(self):
-        assert reversal_distance_bfs((1, 2, 3), (2, 1, 3)) == 1
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            x, y = random_perm(rng, 5), random_perm(rng, 5)
-            assert reversal_distance_bfs(x, y) == reversal_distance_bfs(y, x)
-
-    def test_size_cap(self):
-        rng = np.random.default_rng(11)
-        x, y = random_perm(rng, 8), random_perm(rng, 8)
-        with pytest.raises(SizeCapError):
-            reversal_distance_bfs(x, y)
-
-
-class TestTspFormat:
-    def test_parse_and_tour_length(self):
-        cities = read_tsp("4\n0 0\n1 0\n1 1\n0 1\n")
-        assert cities == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-        assert tour_length((1, 2, 3, 4), cities) == pytest.approx(4.0, abs=1e-12)
+    def test_unit_square_length(self):
+        assert tour_length((1, 2, 3, 4), self.UNIT_SQUARE) == pytest.approx(4.0, abs=1e-12)
 
     def test_rotation_invariant_fitness(self):
-        cities = read_tsp("4\n0 0\n1 0\n1 1\n0 1\n")
         tour = (1, 2, 3, 4)
         for k in range(4):
-            assert tour_length(shift(tour, k), cities) == pytest.approx(
-                tour_length(tour, cities), abs=1e-12
+            assert tour_length(shift(tour, k), self.UNIT_SQUARE) == pytest.approx(
+                tour_length(tour, self.UNIT_SQUARE), abs=1e-12
             )
-
-    def test_bad_instance(self):
-        with pytest.raises(InputError):
-            read_tsp("3\n0 0\n1 1\n")

@@ -1,6 +1,7 @@
 """CLI contract: printed values, text formats, exit codes, CSV runs."""
 
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,18 @@ class TestDistance:
 
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3
+
+    @pytest.mark.parametrize("command", [
+        ["distance", "--mode", "quotient"],
+        ["normalize"],
+        ["crossover", "--mode", "quotient"],
+    ])
+    def test_huge_real_vectors_stay_finite(self, capsys, command):
+        code = cli.main([*command, "--family", "symmetric-real", "1e308 1", "-1e308 2"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert all(math.isfinite(float(v)) for v in captured.out.split())
+        assert "Traceback" not in captured.err
 
 
 class TestNormalize:
@@ -248,6 +261,11 @@ class TestGa:
         {"name": "partitioning", "nodes": -3},
         {"name": "symmetric", "low": 2, "high": 1},
         {"name": "symmetric", "length": 0},
+        {"name": "coloring", "edge_prob": -1},
+        {"name": "partitioning", "edge_prob": 1.5},
+        {"name": "partitioning", "edge_prob": True},
+        {"name": "sequence", "target": "acgt", "alphabet": ""},
+        {"name": "sequence", "target": "acgt", "alphabet": "a-"},
     ])
     def test_bad_problem_sizes_exit_two(self, capsys, tmp_path, problem):
         config = self._write_config(tmp_path, problem=problem)

@@ -27,7 +27,7 @@ from qgx.graphs import (
 )
 from qgx.quotient import orbit
 
-from oracles import brute_graph_distance
+from oracles import brute_graph_distance, loop_graph_match
 
 # the worked 3-node pair: a path graph and a "cherry" with the same shape
 PATH_A = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
@@ -63,22 +63,6 @@ class TestAdjacency:
     def test_rejects_self_loop_edge(self):
         with pytest.raises(InputError):
             adjacency_from_edges(3, [(2, 2)])
-
-
-class TestPermutationMatrix:
-    def test_materialized_form(self):
-        from qgx.graphs import permutation_matrix
-
-        assert permutation_matrix((1, 3, 2)) == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-
-    def test_one_per_row_and_column(self):
-        from qgx.graphs import permutation_matrix
-
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            m = permutation_matrix(random_permutation(6, rng))
-            assert all(sum(row) == 1 for row in m)
-            assert all(sum(col) == 1 for col in zip(*m))
 
 
 class TestConjugate:
@@ -144,6 +128,27 @@ class TestExactDistance:
             a = random_adjacency(5, 0.5, rng)
             b = random_adjacency(5, 0.5, rng)
             assert quotient_distance_exact(a, b).dist == brute_graph_distance(a, b)
+
+    @pytest.mark.parametrize("n,pairs", [(1, 3), (2, 10), (3, 15), (4, 15), (5, 15), (6, 10), (7, 2), (8, 2)])
+    def test_matches_loop_matcher(self, n, pairs):
+        # sparse and dense graphs both tie often, so this pins "first optimum wins"
+        rng = np.random.default_rng(100 + n)
+        for t in range(pairs):
+            p = 0.2 if t % 2 else 0.5
+            a = random_adjacency(n, p, rng)
+            b = random_adjacency(n, p, rng)
+            result = quotient_distance_exact(a, b)
+            assert (result.dist, result.permutation) == loop_graph_match(a, b)
+
+    @pytest.mark.parametrize("n,copies", [(1, 1), (2, 3), (3, 5), (4, 5), (5, 5), (6, 5), (7, 2), (8, 1)])
+    def test_relabeled_copy_matches_loop_matcher(self, n, copies):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(copies):
+            a = random_adjacency(n, 0.4, rng)
+            b = conjugate(a, random_permutation(n, rng))
+            result = quotient_distance_exact(a, b)
+            assert result.dist == 0
+            assert (result.dist, result.permutation) == loop_graph_match(a, b)
 
     def test_size_cap(self):
         rng = np.random.default_rng(5)

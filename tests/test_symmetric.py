@@ -16,7 +16,6 @@ from qgx.symmetric import (
     coordinate_action,
     normalize_discrete,
     normalize_real,
-    normalize_real_assignment,
     permute_coords,
     quotient_euclidean,
     quotient_hamming,
@@ -25,6 +24,7 @@ from qgx.symmetric import (
 from oracles import (
     exhaustive_symmetric_discrete,
     exhaustive_symmetric_real,
+    normalize_real_assignment,
     random_perm,
     random_symbols,
 )
