@@ -35,14 +35,7 @@ from .genotypes import (
 )
 from .metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
 from .problems import Problem, build_problem
-from .quotient import (
-    GroupAction,
-    induced_quotient_crossover,
-    normalize_by_enumeration,
-    orbit,
-    quotient_distance,
-    trivial_action,
-)
+from .quotient import GroupAction, induced_quotient_crossover, orbit
 from .verify import (
     VerificationReport,
     verify_equivalence,
@@ -78,16 +71,13 @@ __all__ = [
     "line_crossover",
     "mask_crossover",
     "mutate",
-    "normalize_by_enumeration",
     "orbit",
     "permutation",
-    "quotient_distance",
     "random_mask",
     "real_vector",
     "run_ga",
     "swap_distance",
     "symbol_vector",
-    "trivial_action",
     "uniform_crossover",
     "verify_equivalence",
     "verify_isometry",

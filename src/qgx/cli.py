@@ -29,12 +29,12 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-GENOTYPE_FAMILIES = FAMILIES
-
 
 def _pair(args) -> tuple[Family, Options, tuple]:
     """The family, its options and the two parsed parents of a pair command."""
     family = FAMILIES[args.family]
+    if args.restarts < 1:
+        raise InputError(f"--restarts must be >= 1, got {args.restarts}")
     metric = args.metric or family.default_metric
     if metric not in family.metrics:
         raise InputError(
@@ -62,9 +62,9 @@ def cmd_distance(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    # sequences normalize by optimal alignment: this prints the stretched second parent
+    # prints y* only; for sequences that is the aligned (stretched) second parent
     family, opts, (a, b) = _pair(args)
-    y_star, _, _ = family.normalize(a, b, opts, np.random.default_rng(args.seed))
+    _, y_star, _ = family.normalize(a, b, opts, np.random.default_rng(args.seed))
     print(family.format(y_star))
     return EXIT_OK
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pair_command(name: str, func, with_mode: bool):
         sp = sub.add_parser(name)
-        sp.add_argument("--family", required=True, choices=GENOTYPE_FAMILIES)
+        sp.add_argument("--family", required=True, choices=FAMILIES)
         sp.add_argument("--metric", default=None, choices=["hamming", "euclidean", "swap", "edit"])
         if with_mode:
             sp.add_argument("--mode", default="quotient", choices=["raw", "quotient"])

@@ -5,9 +5,12 @@ from one representation: its text form, a suite-scale sampler, the base
 metrics, the isometry group, the normalizer, the quotient distance, the
 raw (base) crossover and mutation. Quotient mode is not written per
 family: `Family.quotient_crossover` builds it from the normalizer and
-the raw crossover with `quotient.induced_quotient_crossover`. Sequences
-are the one exception - stretching is not a group action - and recombine
-with `sequences.homologous_crossover`.
+the raw crossover with `quotient.induced_quotient_crossover`. Every
+normalizer moves the pair to close representatives of their classes: a
+group family keeps the first parent and moves the second, and the
+sequence family, whose stretch relation is not a group action, aligns
+both parents, so its quotient crossover is `tail_padded_crossover` run
+on the two aligned rows.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -36,6 +39,7 @@ from .quotient import GroupAction, induced_quotient_crossover
 
 REAL_TOL = 1e-9
 SEQUENCE_ALPHABET = "acgt"
+MUTATION_SIGMA = 0.1  # gaussian step for real vectors
 
 
 @dataclass(frozen=True)
@@ -66,15 +70,15 @@ class Family:
     suite: Options  # the sizes the verify suites sample at
     metrics: dict[str, Metric]  # allowed base metrics; the first is the default
     action: Callable[[Options], GroupAction]  # the isometry group
-    # (x, y, opts, rng) -> (y*, distance, exact): y* is y moved within its class toward x
+    # (x, y, opts, rng) -> (x*, y*, distance): the pair moved within its classes toward
+    # each other; x* is x for every family with a group
     normalize: Callable
     quotient_distance: Callable[[Options, np.random.Generator], Metric]
     crossover: Callable  # raw crossover (x, y, rng), geometric under the base metric
-    mutate: Callable  # (genotype, rate, rng, k, sigma, alphabet)
+    mutate: Callable  # (genotype, rate, rng, k, alphabet)
     tol: float = 0.0
     pair_checks: int = 0  # quotient-suite pairs; each enumerates two orbits
     exact: Callable[[Options], bool] = lambda opts: True  # normalize is exact and draws nothing
-    recombine: Callable | None = None  # quotient crossover when it is not normalize-then-crossover
     resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
@@ -92,8 +96,6 @@ class Family:
 
     def quotient_crossover(self, opts: Options) -> Callable:
         """(x, y, rng) -> offspring of the quotient crossover."""
-        if self.recombine is not None:
-            return self.recombine
         return induced_quotient_crossover(
             lambda x, y, rng: self.normalize(x, y, opts, rng), self.crossover, self.exact(opts)
         )
@@ -141,12 +143,12 @@ def _base(opts: Options) -> str:
 
 def _li_normalize(x, y, opts, rng):
     y_star = grouping.li_normalize(x, y, opts.k)
-    return y_star, hamming_distance(x, y_star), True
+    return x, y_star, hamming_distance(x, y_star)
 
 
 def _rotate(x, y, opts, rng):
     y_star = circular.normalize(x, y, _base(opts))
-    return y_star, circular.BASE_METRICS[_base(opts)](x, y_star), True
+    return x, y_star, circular.BASE_METRICS[_base(opts)](x, y_star)
 
 
 def _graph_exact(opts: Options) -> bool:
@@ -161,7 +163,7 @@ def _graph_match(x, y, opts, rng) -> graphs.MatchResult:
 
 def _graph_normalize(x, y, opts, rng):
     match = _graph_match(x, y, opts, rng)
-    return graphs.conjugate(y, match.permutation), match.dist, match.exact
+    return x, graphs.conjugate(y, match.permutation), match.dist
 
 
 def _graph_distance(opts, rng) -> Metric:
@@ -172,7 +174,7 @@ def _graph_distance(opts, rng) -> Metric:
 
 def _align(x, y, opts, rng):
     alignment = sequences.optimal_align(x, y)
-    return alignment.right, alignment.mismatches, True
+    return alignment.left, alignment.right, alignment.mismatches
 
 
 def _no_group(opts):
@@ -194,7 +196,7 @@ def _uniform(x, y, rng):
 
 # ---------------------------------------------------------------- mutations
 
-def _mutate_symbols(g, rate, rng, k, sigma, alphabet):
+def _mutate_symbols(g, rate, rng, k, alphabet):
     if k is None or k < 2:
         return g
     hits = rng.random(len(g)) < rate
@@ -206,13 +208,13 @@ def _mutate_symbols(g, rate, rng, k, sigma, alphabet):
     return tuple(out)
 
 
-def _mutate_reals(g, rate, rng, k, sigma, alphabet):
+def _mutate_reals(g, rate, rng, k, alphabet):
     hits = rng.random(len(g)) < rate
-    steps = rng.normal(0.0, sigma, size=len(g))
+    steps = rng.normal(0.0, MUTATION_SIGMA, size=len(g))
     return tuple(v + float(steps[i]) if hits[i] else v for i, v in enumerate(g))
 
 
-def _mutate_swap(g, rate, rng, k, sigma, alphabet):
+def _mutate_swap(g, rate, rng, k, alphabet):
     out = list(g)
     if rng.random() < rate and len(out) >= 2:
         i = int(rng.integers(0, len(out)))
@@ -223,7 +225,7 @@ def _mutate_swap(g, rate, rng, k, sigma, alphabet):
     return tuple(out)
 
 
-def _mutate_edges(g, rate, rng, k, sigma, alphabet):
+def _mutate_edges(g, rate, rng, k, alphabet):
     n = len(g)
     hits = rng.random(n * (n - 1) // 2) < rate
     out = [list(row) for row in g]
@@ -236,7 +238,7 @@ def _mutate_edges(g, rate, rng, k, sigma, alphabet):
     return tuple(tuple(row) for row in out)
 
 
-def _mutate_edit(s, rate, rng, k, sigma, alphabet):
+def _mutate_edit(s, rate, rng, k, alphabet):
     """One random substitution, insertion or deletion with probability rate."""
     if rng.random() >= rate:
         return s
@@ -297,7 +299,7 @@ _FAMILIES = (
         suite=Options(size=5),
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (*symmetric.normalize_real(x, y), True),
+        normalize=lambda x, y, o, rng: (x, *symmetric.normalize_real(x, y)),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
         mutate=_mutate_reals,
@@ -312,7 +314,7 @@ _FAMILIES = (
         suite=Options(k=3, size=5),
         metrics={"hamming": hamming_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (*symmetric.normalize_discrete(x, y), True),
+        normalize=lambda x, y, o, rng: (x, *symmetric.normalize_discrete(x, y)),
         quotient_distance=lambda o, rng: symmetric.quotient_hamming,
         crossover=_uniform,
         mutate=_mutate_symbols,
@@ -347,7 +349,6 @@ _FAMILIES = (
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,
-        recombine=lambda s, t, rng: sequences.homologous_crossover(s, t, rng),
         mode_errors={
             ("edit", "raw"): "raw mode on sequences uses --metric hamming on equal lengths",
             ("hamming", "quotient"): "hamming on sequences is the raw (stretched-genotype) metric",

@@ -21,8 +21,6 @@ from .problems import Problem
 
 MODES = ("raw", "quotient")
 
-MUTATION_SIGMA = 0.1  # gaussian step for real vectors
-
 
 @dataclass(frozen=True)
 class GAConfig:
@@ -113,7 +111,6 @@ def mutate(
     rng: np.random.Generator,
     *,
     k: int | None = None,
-    sigma: float = MUTATION_SIGMA,
     alphabet: str = "acgt",
 ):
     """Family-preserving mutation; rate 0 leaves the genotype unchanged."""
@@ -121,7 +118,7 @@ def mutate(
         raise ParameterError(f"mutation rate must be in [0,1], got {rate}")
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
-    return FAMILIES[family].mutate(genotype, rate, rng, k, sigma, alphabet)
+    return FAMILIES[family].mutate(genotype, rate, rng, k, alphabet)
 
 
 def _tournament(fitness: list[float], size: int, rng: np.random.Generator) -> int:

@@ -19,8 +19,7 @@ RealVector = tuple[float, ...]
 Permutation = tuple[int, ...]
 Mask = tuple[int, ...]
 
-FIRST = 0   # mask bit: copy position from first parent
-SECOND = 1  # mask bit: copy position from second parent
+FIRST = 0  # mask bit: copy position from first parent (1: from the second)
 
 
 def symbol_vector(values: Iterable[int], k: int) -> SymbolVector:
@@ -55,13 +54,6 @@ def permutation(values: Iterable[int]) -> Permutation:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p
-
-
-def mask(bits: Iterable[int]) -> Mask:
-    m = tuple(int(b) for b in bits)
-    if any(b not in (FIRST, SECOND) for b in m):
-        raise InputError("mask bits must be 0 (first) or 1 (second)")
-    return m
 
 
 def identity_permutation(n: int) -> Permutation:

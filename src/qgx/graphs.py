@@ -52,6 +52,8 @@ def adjacency(rows) -> AdjacencyMatrix:
 
 
 def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
+    if n < 1:
+        raise InputError(f"a graph needs at least one node, got n={n}")
     grid = [[0] * n for _ in range(n)]
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:

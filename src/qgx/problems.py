@@ -9,6 +9,7 @@ run is reproducible from the config alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -47,9 +48,19 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_probability(name: str, value) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0 <= value <= 1:
+    if not _is_number(value) or not 0 <= value <= 1:
         raise InputError(f"{name} must be a number in [0, 1], got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    # NaN fails the comparison, and so does an int too large for a float
+    if not _is_number(value) or not abs(value) <= sys.float_info.max:
+        raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def partitioning_problem(
@@ -63,6 +74,8 @@ def partitioning_problem(
     _check_count("nodes", nodes, 1)
     _check_count("groups", groups, 1)
     _check_probability("edge_prob", edge_prob)
+    _check_count("instance_seed", instance_seed, 0)
+    _check_finite("balance_weight", balance_weight)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
     target = nodes / groups
@@ -95,6 +108,7 @@ def coloring_problem(
     _check_count("nodes", nodes, 1)
     _check_count("colors", colors, 1)
     _check_probability("edge_prob", edge_prob)
+    _check_count("instance_seed", instance_seed, 0)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     edges = edges_of(graph)
 
@@ -111,24 +125,19 @@ def coloring_problem(
     )
 
 
-def tsp_problem(cities: tuple[tuple[float, float], ...], name: str = "tsp") -> Problem:
-    if len(cities) < 3:
-        raise InputError("TSP needs at least 3 cities")
-
-    return Problem(
-        name=f"{name}(n={len(cities)})",
-        family="circular",
-        fitness=lambda tour: tour_length(tour, cities),
-        initializer=lambda rng: random_permutation(len(cities), rng),
-        size=len(cities),
-    )
-
-
 def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
+    """Euclidean TSP on cities drawn uniformly from the unit square."""
     _check_count("cities", cities, 3)
+    _check_count("instance_seed", instance_seed, 0)
     rng = np.random.default_rng(instance_seed)
     coords = tuple((float(x), float(y)) for x, y in rng.random((cities, 2)))
-    return tsp_problem(coords)
+    return Problem(
+        name=f"tsp(n={cities})",
+        family="circular",
+        fitness=lambda tour: tour_length(tour, coords),
+        initializer=lambda rng: random_permutation(cities, rng),
+        size=cities,
+    )
 
 
 def symmetric_problem(

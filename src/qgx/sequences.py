@@ -2,11 +2,13 @@
 
 Interleaving gap symbols stretches a sequence without changing what it
 spells; all stretchings of the same sequence form one equivalence class.
-This relation mirrors the quotient construction - normalize (align),
-recombine, project (strip gaps) - but it does not come from an isometry
-group, so no group machinery is used here. Aligning two sequences with
-minimal mismatching columns realizes their edit distance, and mask
-crossover on an optimal alignment keeps offspring on tight edit-distance
+The relation does not come from an isometry group, yet quotient mode is
+the same normalize-then-crossover path as for every other family:
+`optimal_align` normalizes the pair by stretching both parents, and
+`tail_padded_crossover` runs mask crossover on the two aligned rows and
+strips the gaps. Aligning two sequences with minimal mismatching columns
+realizes their edit distance, and mask crossover on an optimal
+alignment (homologous crossover) keeps offspring on tight edit-distance
 triangles between the parents.
 """
 
@@ -157,25 +159,16 @@ def optimal_align(s: str, t: str) -> Alignment:
     return Alignment("".join(reversed(left)), "".join(reversed(right)))
 
 
-def homologous_crossover(s: str, t: str, rng: np.random.Generator) -> str:
-    """Align optimally, mask-recombine columns, strip gaps."""
-    alignment = optimal_align(s, t)
-    picked = (
-        a if bit == FIRST else b
-        for a, b, bit in zip(
-            alignment.left,
-            alignment.right,
-            rng.integers(0, 2, size=len(alignment.left)),
-        )
-    )
-    return unstretch("".join(picked))
-
-
 def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:
-    """Raw baseline: pad the shorter parent with trailing gaps, then
-    mask-recombine positionwise without aligning."""
-    check_sequence(s)
-    check_sequence(t)
+    """Pad the shorter parent with trailing gaps, run mask crossover
+    positionwise, strip gaps.
+
+    On two raw sequences this is the raw baseline, which does not align.
+    On the two rows of `optimal_align` (equal length, so nothing is
+    padded) it is the homologous crossover, the sequence family's
+    quotient mode: stretched parents are valid inputs, because the
+    offspring is projected back by `unstretch`.
+    """
     width = max(len(s), len(t))
     a = s.ljust(width, GAP)
     b = t.ljust(width, GAP)
@@ -184,10 +177,3 @@ def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:
         for x, y, bit in zip(a, b, rng.integers(0, 2, size=width))
     )
     return unstretch("".join(picked))
-
-
-def read_corpus(text: str) -> tuple[str, ...]:
-    """One sequence per line; blank lines ignored."""
-    return tuple(
-        check_sequence(ln) for ln in (s.strip() for s in text.splitlines()) if ln
-    )

@@ -74,8 +74,10 @@ def quotient_suite(family: str, trials: int, seed: int) -> VerificationReport:
 def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
     """Offspring of the quotient crossover lie on the quotient segment.
 
-    For sequences the class-level distance is the edit distance, and
-    homologous offspring must sit on tight edit-distance triangles.
+    Every family runs the same normalize-then-crossover path. For
+    sequences the class-level distance is the edit distance, so offspring
+    of mask crossover on the aligned rows must sit on tight edit-distance
+    triangles.
     """
     fam = _family(family)
     offspring_fn = fam.quotient_crossover(fam.suite)

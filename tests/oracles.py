@@ -2,9 +2,11 @@
 
 Everything here takes the dumb route (breadth-first search, exhaustive
 enumeration, plain quadratic DP, matrix products) and shares no code
-with the library paths it checks. The one exception is
+with the library paths it checks. The exceptions are
 `normalize_real_assignment`, which checks sort-matching of real
-vectors through the library's Hungarian solver instead of a sort.
+vectors through the library's Hungarian solver instead of a sort, and
+`trivial_action`, which builds the library's `GroupAction` record so
+the orbit-enumeration oracles below can take any group action.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from collections import deque
 import numpy as np
 
 from qgx.assignment import hungarian
+from qgx.quotient import GroupAction
 
 
 def bfs_swap_distance(p: tuple, q: tuple) -> int:
@@ -55,6 +58,40 @@ def all_swap_distances_from(p: tuple) -> dict[tuple, int]:
                 dist[nxt] = dist[cur] + 1
                 frontier.append(nxt)
     return dist
+
+
+def trivial_action() -> GroupAction:
+    """The one-element group; quotient concepts collapse to the base ones."""
+    return GroupAction(
+        name="trivial",
+        elements=("e",),
+        identity="e",
+        apply=lambda g, x: x,
+        compose=lambda g, h: "e",
+        inverse=lambda g: "e",
+    )
+
+
+def normalize_by_enumeration(x, y, action: GroupAction, metric) -> tuple:
+    """Closest point to x in the orbit of y, with its distance.
+
+    Ties break to the lexicographically smallest candidate (tuples
+    compare elementwise, nested tuples included), so the result does not
+    depend on element enumeration order.
+    """
+    best = None
+    best_d = None
+    for g in action.elements:
+        cand = action.apply(g, y)
+        d = metric(x, cand)
+        if best_d is None or d < best_d or (d == best_d and cand < best):
+            best, best_d = cand, d
+    return best, best_d
+
+
+def quotient_distance(x, y, action: GroupAction, metric) -> float:
+    """min over the orbit of y of metric(x, .) - the quotient metric."""
+    return min(metric(x, action.apply(g, y)) for g in action.elements)
 
 
 def _hamming(a, b) -> int:

@@ -111,11 +111,10 @@ class TestNormalize:
                 assert metric(x, y_star) == quotient_distance(x, y, base)
 
     def test_normalizer_wrapper(self):
-        normalize_entry = FAMILIES["circular"].normalize
-        y_star, dist, exact = normalize_entry(FIG6_X, FIG6_Y, Options(metric="hamming"), None)
-        assert y_star == (2, 4, 6, 1, 5, 3)
-        assert dist == 2
-        assert exact
+        family = FAMILIES["circular"]
+        opts = Options(metric="hamming")
+        assert family.exact(opts)
+        assert family.normalize(FIG6_X, FIG6_Y, opts, None) == (FIG6_X, (2, 4, 6, 1, 5, 3), 2)
 
 
 class TestPiCycleCrossover:

@@ -76,6 +76,18 @@ class TestDistance:
         assert cli.main([command, "--family", "circular", "", ""]) == 2
         assert "non-empty" in capsys.readouterr().err
 
+    def test_graph_without_nodes_exit_two(self, capsys, tmp_path):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("0 0\n")
+        assert cli.main(["distance", "--family", "graph", str(empty), str(empty)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_no_restarts_exit_two(self, capsys, restarts):
+        code = cli.main(["distance", "--family", "circular", "--restarts", restarts, "1 2 3", "2 3 1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3
 
@@ -266,6 +278,8 @@ class TestGa:
         {"name": "partitioning", "edge_prob": True},
         {"name": "sequence", "target": "acgt", "alphabet": ""},
         {"name": "sequence", "target": "acgt", "alphabet": "a-"},
+        {"name": "partitioning", "balance_weight": "x"},
+        {"name": "tsp", "instance_seed": -1},
     ])
     def test_bad_problem_sizes_exit_two(self, capsys, tmp_path, problem):
         config = self._write_config(tmp_path, problem=problem)

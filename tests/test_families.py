@@ -4,13 +4,12 @@ CLI, the suites and problem validation all read the one mapping."""
 import numpy as np
 import pytest
 
-from qgx import cli, ga, problems, suites
+from qgx import cli, ga, problems, sequences, suites
 from qgx.errors import InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
 
 NAMES = list(FAMILIES)
-GROUP_FAMILIES = [name for name in NAMES if FAMILIES[name].recombine is None]
 
 
 def _pairs(family, count, seed):
@@ -35,10 +34,7 @@ def test_exact_normalizer_leaves_equal_parent(name):
     family = FAMILIES[name]
     assert family.exact(family.suite)
     for x, _ in _pairs(family, 30, 2):
-        y_star, dist, exact = family.normalize(x, x, family.suite, None)
-        assert y_star == x
-        assert dist == 0
-        assert exact
+        assert family.normalize(x, x, family.suite, None) == (x, x, 0)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -46,14 +42,19 @@ def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
     family = FAMILIES[name]
     qdist = family.quotient_distance(family.suite, None)
     for x, y in _pairs(family, 20, 3):
-        y_star, dist, _ = family.normalize(x, y, family.suite, None)
+        x_star, y_star, dist = family.normalize(x, y, family.suite, None)
         assert dist == pytest.approx(qdist(x, y), abs=family.tol)
-        if family.recombine is None:
+        if name == "sequence":
+            # alignment stretches both parents; the rows project back onto them
+            assert (sequences.unstretch(x_star), sequences.unstretch(y_star)) == (x, y)
+            assert family.metrics["hamming"](x_star, y_star) == dist
+        else:
+            assert x_star == x  # a group moves the second parent only
             assert qdist(y_star, y) == pytest.approx(0, abs=family.tol)
             assert family.base_metric(x, y_star) == pytest.approx(dist, abs=family.tol)
 
 
-@pytest.mark.parametrize("name", GROUP_FAMILIES)
+@pytest.mark.parametrize("name", NAMES)
 def test_quotient_crossover_is_raw_crossover_after_normalization(name):
     family = FAMILIES[name]
     xover = family.quotient_crossover(family.suite)
@@ -62,8 +63,8 @@ def test_quotient_crossover_is_raw_crossover_after_normalization(name):
             y = x
         rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
         child = xover(x, y, rng_a)
-        y_star = family.normalize(x, y, family.suite, rng_b)[0]
-        assert child == family.crossover(x, y_star, rng_b)
+        x_star, y_star, _ = family.normalize(x, y, family.suite, rng_b)
+        assert child == family.crossover(x_star, y_star, rng_b)
         assert rng_a.random() == rng_b.random()
 
 
@@ -81,7 +82,7 @@ def test_heuristic_graph_matching_runs_for_equal_parents():
 
 
 def test_one_mapping_behind_every_family_list():
-    assert cli.GENOTYPE_FAMILIES is FAMILIES
+    assert cli.FAMILIES is FAMILIES
     assert suites.FAMILIES is FAMILIES
     assert problems.FAMILIES is FAMILIES
 

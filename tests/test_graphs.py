@@ -255,14 +255,15 @@ class TestIqCrossover:
         from qgx.quotient import induced_quotient_crossover
 
         rng = np.random.default_rng(17)
-        normalize = FAMILIES["graph"].normalize
-        norm = lambda x, y, r: normalize(x, y, Options(size=5), r)
+        family = FAMILIES["graph"]
+        assert family.exact(Options(size=5))
+        norm = lambda x, y, r: family.normalize(x, y, Options(size=5), r)
         qdist = make_quotient_hamming()
         for _ in range(30):
             a = random_adjacency(5, 0.5, rng)
             b = random_adjacency(5, 0.5, rng)
-            b_star, dist, exact = norm(a, b, rng)
-            assert exact
+            a_star, b_star, dist = norm(a, b, rng)
+            assert a_star == a
             assert dist == qdist(a, b)
             assert matrix_hamming(a, b_star) == dist
             child = induced_quotient_crossover(

@@ -9,23 +9,23 @@ from qgx.crossovers import mask_crossover, random_mask
 from qgx.errors import OrbitTooLargeError
 from qgx.grouping import relabel, relabeling_action
 from qgx.metrics import hamming_distance, in_segment
-from qgx.quotient import (
-    induced_quotient_crossover,
+from qgx.quotient import induced_quotient_crossover, orbit
+
+from oracles import (
+    exhaustive_li_distance,
     normalize_by_enumeration,
-    orbit,
     quotient_distance,
+    random_symbols,
     trivial_action,
 )
-
-from oracles import exhaustive_li_distance, random_symbols
 
 FIG3_X, FIG3_Y, FIG3_K = (1, 2, 3, 1), (2, 1, 2, 3), 3
 FIG6_X, FIG6_Y = (2, 4, 5, 1, 6, 3), (4, 6, 1, 5, 3, 2)
 
 
 def enumeration_normalizer(action, metric):
-    """Exact normalization by orbit enumeration, in the (y*, dist, exact) form."""
-    return lambda x, y, rng: (*normalize_by_enumeration(x, y, action, metric), True)
+    """Exact normalization by orbit enumeration, in the (x*, y*, dist) form."""
+    return lambda x, y, rng: (x, *normalize_by_enumeration(x, y, action, metric))
 
 
 class TestOrbit:
@@ -183,7 +183,7 @@ class TestInducedCrossover:
 
         def norm(x, y, rng):
             calls.append((x, y))
-            return y, 0, True
+            return x, y, 0
 
         xover = induced_quotient_crossover(norm, lambda a, b, r: b)
         assert xover((1, 2), (1, 2), None) == (1, 2)
@@ -195,7 +195,7 @@ class TestInducedCrossover:
         # a heuristic normalizer may draw from rng, so skipping it would
         # shift the stream for every later draw
         rng = np.random.default_rng(3)
-        norm = lambda x, y, r: (y, float(r.integers(0, 9)), False)
+        norm = lambda x, y, r: (x, y, float(r.integers(0, 9)))
         xover = induced_quotient_crossover(norm, lambda a, b, r: b, exact=False)
         xover((1, 2), (1, 2), rng)
         expected = np.random.default_rng(3)

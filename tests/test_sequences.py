@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgx.errors import InputError
+from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance
 from qgx.sequences import (
     Alignment,
     check_sequence,
     edit_distance,
-    homologous_crossover,
     optimal_align,
-    read_corpus,
     tail_padded_crossover,
     unstretch,
 )
@@ -20,6 +19,9 @@ from qgx.sequences import (
 from oracles import dp_edit_distance, dp_optimal_align, random_string
 
 WORKED_S, WORKED_T = "agcacaca", "acacacta"
+
+# the sequence family's quotient crossover: align, mask-recombine the rows, strip gaps
+homologous_crossover = FAMILIES["sequence"].quotient_crossover(Options())
 
 @st.composite
 def text_pairs(draw):
@@ -170,8 +172,14 @@ class TestHomologousCrossover:
             assert "-" not in child
             assert len(child) <= max(len(s), len(t))
 
-
-def test_read_corpus():
-    assert read_corpus("acgt\n\n  tt \n") == ("acgt", "tt")
-    with pytest.raises(InputError):
-        read_corpus("ac-gt\n")
+    def test_is_tail_padded_crossover_on_aligned_rows(self):
+        rng = np.random.default_rng(6)
+        for i in range(300):
+            s = random_string(rng, 15)
+            t = s if i % 7 == 0 else random_string(rng, 15)
+            seed = int(rng.integers(0, 2**32))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            alignment = optimal_align(s, t)
+            expected = tail_padded_crossover(alignment.left, alignment.right, rng_b)
+            assert homologous_crossover(s, t, rng_a) == expected
+            assert rng_a.random() == rng_b.random()

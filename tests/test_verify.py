@@ -16,6 +16,8 @@ from qgx.verify import (
     verify_quotient_metric,
 )
 
+from oracles import trivial_action
+
 
 def _symbols(n, k):
     return lambda rng: random_symbol_vector(n, k, rng)
@@ -104,8 +106,6 @@ def test_metric_axioms_flag_asymmetry():
 
 
 def test_quotient_metric_trivial_group_reduces_to_base():
-    from qgx.quotient import trivial_action
-
     rng = np.random.default_rng(8)
     report = verify_quotient_metric(
         trivial_action(), hamming_distance, _symbols(5, 3), rng, 300, pair_checks=30
