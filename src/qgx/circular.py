@@ -2,11 +2,21 @@
 
 Gluing head to tail makes the n rotations of a permutation encode the
 same cycle, and the rotation group is an isometry of both Hamming and
-swap distance. Normalization tries all n rotations of the second parent
-and keeps the closest; cycle crossover applied afterwards is the
-position-independent cycle crossover. Reversal distance is not offered:
-recombination along reversal geodesics is out of reach (sorting by
-reversals is NP-hard).
+swap distance. Normalization picks the rotation of the second parent
+closest to the first; cycle crossover applied afterwards is the
+position-independent cycle crossover.
+
+Under Hamming distance the rotation is found by voting in one pass.
+Rotating y right by k puts y[(i - k) mod n] at slot i, so every pair
+with x[i] == y[j] votes for the step k = (i - j) mod n, and the Hamming
+distance from x to that rotation is n minus its votes. The normalizing
+step is the one with the most votes, the smallest step winning ties;
+for a permutation this is O(n). Swap distance has no such count, so it
+keeps the scan of all n rotations, with the same tie rule. The empty
+tour has one rotation, itself, at distance 0.
+
+Reversal distance is not offered: recombination along reversal
+geodesics is out of reach (sorting by reversals is NP-hard).
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ BASE_METRICS = {"hamming": hamming_distance, "swap": swap_distance}
 def shift(p: Permutation, k: int) -> Permutation:
     """Rotate right by k steps: the last k entries move to the front."""
     n = len(p)
+    if n == 0:
+        return ()
     k %= n
     if k == 0:
         return tuple(p)
@@ -50,25 +62,40 @@ def _base_metric(base: str):
         raise ParameterError(f"base metric must be one of {sorted(BASE_METRICS)}, got {base!r}")
 
 
-def quotient_distance(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> int:
-    """Smallest base distance from x to any rotation of y."""
+def _best_shift(x: Permutation, y: Permutation, base: str) -> tuple[int, int]:
+    """(k, dist): the smallest step k whose rotation of y is closest to x."""
     if len(x) != len(y):
         raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
     d = _base_metric(base)
-    return min(d(x, shift(y, k)) for k in range(len(x)))
+    n = len(x)
+    if n == 0:
+        return 0, 0
+    if base == "hamming":
+        where = {}
+        for i, v in enumerate(x):
+            where.setdefault(v, []).append(i)
+        votes = [0] * n
+        for j, v in enumerate(y):
+            for i in where.get(v, ()):
+                votes[i - j] += 1  # -n < i - j < n, so this is votes[(i - j) % n]
+        top = max(votes)
+        return votes.index(top), n - top
+    best_k, best_d = 0, d(x, y)
+    for k in range(1, n):
+        dist = d(x, shift(y, k))
+        if dist < best_d:
+            best_k, best_d = k, dist
+    return best_k, best_d
+
+
+def quotient_distance(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> int:
+    """Smallest base distance from x to any rotation of y."""
+    return _best_shift(x, y, base)[1]
 
 
 def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> Permutation:
     """Rotation of y closest to x; smallest step count wins ties."""
-    if len(x) != len(y):
-        raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
-    d = _base_metric(base)
-    best_k, best_d = 0, d(x, y)
-    for k in range(1, len(x)):
-        dist = d(x, shift(y, k))
-        if dist < best_d:
-            best_k, best_d = k, dist
-    return shift(y, best_k)
+    return shift(y, _best_shift(x, y, base)[0])
 
 
 def tour_length(tour: Permutation, cities: tuple[tuple[float, float], ...]) -> float:

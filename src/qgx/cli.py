@@ -5,7 +5,8 @@ property suite; `ga` runs an experiment and writes a CSV. Every command
 is deterministic given its full argument list including --seed.
 
 Exit codes: 0 success, 1 verification found violations, 2 input error,
-3 I/O error.
+3 I/O error, 4 internal error (an unexpected exception, reported in one
+line instead of a traceback).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _pair(args) -> tuple[Family, Options, tuple]:
@@ -157,6 +159,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,13 +5,16 @@ coordinate shuffles form an isometry group of both Euclidean and Hamming
 distance, and genotypes that are rearrangements of each other encode the
 same solution. Normalization rearranges the second parent to sit closest
 to the first: for reals this is sort-matching (i-th smallest to i-th
-smallest), for discrete vectors a positionwise assignment problem.
+smallest), for discrete vectors a positionwise assignment problem. The
+discrete quotient distance needs no assignment: it is n minus the
+symbols the two vectors share, counted with multiplicity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 from .assignment import hungarian
 from .errors import DimensionError, InputError
@@ -87,7 +90,15 @@ def quotient_euclidean(x: RealVector, y: RealVector) -> float:
 
 
 def quotient_hamming(x: SymbolVector, y: SymbolVector) -> int:
-    return normalize_discrete(x, y)[1]
+    """Smallest Hamming distance from x to a rearrangement of y, by counting.
+
+    A rearrangement can match each symbol s at most min(count_x(s),
+    count_y(s)) times and some rearrangement matches them all, so this is
+    `normalize_discrete`'s total without the assignment problem.
+    """
+    if len(x) != len(y):
+        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
+    return len(x) - sum((Counter(x) & Counter(y)).values())
 
 
 # Reductions run over sorted values so invariance under coordinate

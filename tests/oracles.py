@@ -94,6 +94,21 @@ def quotient_distance(x, y, action: GroupAction, metric) -> float:
     return min(metric(x, action.apply(g, y)) for g in action.elements)
 
 
+def scan_rotation(x: tuple, y: tuple, metric) -> tuple[int, float]:
+    """(k, dist) over all n right rotations of y, each rebuilt by slicing.
+
+    Only a strictly smaller distance replaces the best, so the smallest
+    step wins ties.
+    """
+    n = len(x)
+    best_k, best_d = 0, metric(x, tuple(y))
+    for k in range(1, n):
+        d = metric(x, tuple(y[n - k:]) + tuple(y[:n - k]))
+        if d < best_d:
+            best_k, best_d = k, d
+    return best_k, best_d
+
+
 def _hamming(a, b) -> int:
     return sum(x != y for x, y in zip(a, b))
 

@@ -237,11 +237,18 @@ def test_criterion_11_performance_floor():
     # a full pure-Python alignment table takes seconds at this size
     align_time = _best_time(lambda: sequences.optimal_align(s, t), repeats=3)
 
-    ok = hungarian_time < 1.0 and edit_time < 1.0 and align_time < 0.25
+    x = tuple(int(v) + 1 for v in rng.permutation(1000))
+    y = tuple(int(v) + 1 for v in rng.permutation(1000))
+    # a scan of all n rotations takes tens of milliseconds at this size
+    rotate_time = _best_time(lambda: circular.normalize(x, y), repeats=3)
+
+    ok = (hungarian_time < 1.0 and edit_time < 1.0 and align_time < 0.25
+          and rotate_time < 0.02)
     _criterion(11, "performance floor", ok,
                f"hungarian 200x200 {hungarian_time * 1e3:.0f}ms, "
                f"edit 2000x2000 {edit_time * 1e3:.0f}ms, "
-               f"align 2000x2000 {align_time * 1e3:.0f}ms")
+               f"align 2000x2000 {align_time * 1e3:.0f}ms, "
+               f"rotate n=1000 {rotate_time * 1e3:.1f}ms")
 
 
 def test_criterion_12_soft_trend_report():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgx.circular import (
+    BASE_METRICS,
     normalize,
     quotient_distance,
     shift,
@@ -16,7 +17,13 @@ from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance, swap_distance
 from qgx.verify import verify_equivalence, verify_isometry
 
-from oracles import bfs_swap_distance, enumerate_cycle_offspring, random_perm
+from oracles import (
+    bfs_swap_distance,
+    enumerate_cycle_offspring,
+    random_perm,
+    random_symbols,
+    scan_rotation,
+)
 
 FIG6_X, FIG6_Y = (2, 4, 5, 1, 6, 3), (4, 6, 1, 5, 3, 2)
 
@@ -115,6 +122,63 @@ class TestNormalize:
         opts = Options(metric="hamming")
         assert family.exact(opts)
         assert family.normalize(FIG6_X, FIG6_Y, opts, None) == (FIG6_X, (2, 4, 6, 1, 5, 3), 2)
+
+
+class TestAgainstRotationScan:
+    """The rotation vote (Hamming) and the scan (swap) against `scan_rotation`."""
+
+    @staticmethod
+    def _agree(x, y, base):
+        k, dist = scan_rotation(x, y, BASE_METRICS[base])
+        assert normalize(x, y, base) == shift(y, k)
+        assert quotient_distance(x, y, base) == dist
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_random_permutations(self, base):
+        rng = np.random.default_rng(10)
+        for _ in range(600):
+            n = int(rng.integers(1, 41))
+            x = random_perm(rng, n)
+            y = shift(x, int(rng.integers(0, n))) if rng.random() < 0.3 else random_perm(rng, n)
+            self._agree(x, y, base)
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_tied_steps_smallest_wins(self, base):
+        # steps 1 and 3 both reach distance 2 (Hamming) and 1 (swap)
+        assert normalize((1, 2, 3, 4), (2, 1, 4, 3), base) == (3, 2, 1, 4)
+        rng = np.random.default_rng(11)
+        tied = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 7))
+            x, y = random_perm(rng, n), random_perm(rng, n)
+            rows = [BASE_METRICS[base](x, shift(y, k)) for k in range(n)]
+            tied += rows.count(min(rows)) > 1
+            self._agree(x, y, base)
+        assert tied > 100
+
+    def test_repeated_values(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(1, 21))
+            x = random_symbols(rng, n, int(rng.integers(1, 4)))
+            y = random_symbols(rng, n, int(rng.integers(1, 5)))
+            self._agree(x, y, "hamming")
+        # no common value: every step has zero votes, and step 0 wins
+        assert normalize((1, 1, 1), (2, 3, 2)) == (2, 3, 2)
+        assert quotient_distance((1, 1, 1), (2, 3, 2)) == 3
+
+
+class TestEmptyTour:
+    def test_shift(self):
+        assert shift((), 1) == ()
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_normalize(self, base):
+        assert normalize((), (), base) == ()
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_quotient_distance(self, base):
+        assert quotient_distance((), (), base) == 0
 
 
 class TestPiCycleCrossover:

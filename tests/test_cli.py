@@ -1,5 +1,6 @@
 """CLI contract: printed values, text formats, exit codes, CSV runs."""
 
+import dataclasses
 import json
 import math
 
@@ -203,6 +204,20 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "metric", "--family", "grouping")
         assert code == 1
         assert "broken thing" in out
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_exit_four(self, capsys, monkeypatch):
+        def broken(text, k):
+            raise RuntimeError("parser\nfell over")
+
+        family = cli.FAMILIES["circular"]
+        monkeypatch.setitem(cli.FAMILIES, "circular", dataclasses.replace(family, parse=broken))
+        code = cli.main(["distance", *FIG6[:2], "1 2 3", "2 3 1"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INTERNAL == 4
+        assert err == "internal error: RuntimeError: parser fell over\n"
+        assert "Traceback" not in err
 
 
 class TestGa:

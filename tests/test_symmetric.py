@@ -130,6 +130,24 @@ class TestNormalizeDiscrete:
             assert dist == quotient_hamming(x, y)
 
 
+class TestQuotientHamming:
+    def test_matches_assignment_total(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            k = int(rng.integers(1, 7))
+            x = random_symbols(rng, n, k)
+            y = random_symbols(rng, n, k)
+            assert quotient_hamming(x, y) == normalize_discrete(x, y)[1]
+
+    def test_disjoint_symbols(self):
+        assert quotient_hamming((1, 1, 2), (3, 4, 3)) == 3
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            quotient_hamming((1, 2), (1, 2, 2))
+
+
 class TestIqCrossovers:
     def test_real_midpoint_of_worked_pair(self):
         y_star, _ = normalize_real(FIG5_X, FIG5_Y)
