@@ -1,15 +1,15 @@
 """Minimum-cost perfect matching (Hungarian algorithm).
 
-Augmenting-path variant with row/column potentials, O(n^3) overall; the
-per-phase column scan is vectorized so 200x200 instances solve well
-under a second. Rows are inserted in ascending order and column ties
-resolve to the lowest index, which makes equal-cost optima
-reproducible - normalizers downstream rely on that.
+Augmenting-path variant with row/column potentials, O(n^3), in plain
+loops: the program solves 3x3 to 5x5 matrices, too small to repay numpy's
+per-call cost. Rows are inserted in ascending order, `minv` improves only
+on a strictly smaller value and column ties go to the lowest index, so
+equal-cost optima are reproducible - normalizers downstream rely on that.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from math import inf, isfinite
 
 from .errors import InputError
 from .genotypes import Permutation
@@ -20,49 +20,49 @@ def hungarian(cost) -> tuple[Permutation, float]:
 
     Entries may be negative (agreement maximization negates its matrix).
     """
-    a = np.asarray(cost, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise InputError(f"cost matrix must be square and non-empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    try:
+        a = [[float(c) for c in row] for row in cost]
+        square = len(a) > 0 and all(len(row) == len(a) for row in a)
+    except TypeError:
+        square = False
+    if not square:
+        raise InputError("cost matrix must be a square, non-empty table of numbers")
+    if not all(isfinite(c) for row in a for c in row):
         raise InputError("cost matrix entries must be finite")
+    n = len(a)
 
-    n = a.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_row = np.zeros(n + 1, dtype=np.int64)  # row currently matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)        # predecessor column on the alternating path
-    cols = np.arange(1, n + 1)
-
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match_row = [0] * (n + 1)  # row currently matched to column j
+    way = [0] * (n + 1)        # predecessor column on the alternating path
     for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
+        match_row[0], j0 = i, 0
+        minv, used = [inf] * (n + 1), [False] * (n + 1)
+        while match_row[j0]:  # until the path reaches a free column
             used[j0] = True
             i0 = match_row[j0]
-            free = ~used[1:]
-            cur = a[i0 - 1, :] - u[i0] - v[1:]
-            improved = np.nonzero(free & (cur < minv[1:]))[0]
-            minv[improved + 1] = cur[improved]
-            way[improved + 1] = j0
-            free_j = cols[free]
-            j1 = int(free_j[np.argmin(minv[free_j])])
-            delta = minv[j1]
-            used_j = np.nonzero(used)[0]
-            u[match_row[used_j]] += delta
-            v[used_j] -= delta
-            minv[free_j] -= delta
+            row, ui = a[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if j1 == 0:  # every reduced cost overflowed to inf or nan
+                raise InputError("cost matrix entries too large to solve in floating point")
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = int(way[j0])
-            match_row[j0] = match_row[j1]
-            j0 = j1
+        while j0:  # flip the alternating path back to column 0
+            match_row[j0], j0 = match_row[way[j0]], way[j0]
 
-    assignment = [0] * n
-    for j in range(1, n + 1):
-        assignment[match_row[j] - 1] = j
-    total = float(sum(a[i, assignment[i] - 1] for i in range(n)))
-    return tuple(assignment), total
+    assignment = tuple(sorted(range(1, n + 1), key=match_row.__getitem__))
+    total = 0.0
+    for i, j in enumerate(assignment):
+        total += a[i][j - 1]
+    return assignment, total

@@ -109,6 +109,13 @@ def cmd_ga(args) -> int:
     return EXIT_OK
 
 
+def seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only non-negative seeds."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgx",
@@ -124,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_mode:
             sp.add_argument("--mode", default="quotient", choices=["raw", "quotient"])
         sp.add_argument("--k", type=int, default=None, help="alphabet size (grouping)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=seed, default=0)
         sp.add_argument("--restarts", type=int, default=20, help="heuristic graph matching restarts")
         sp.add_argument("first", help="first parent (text format, or file path for graphs)")
         sp.add_argument("second", help="second parent")
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=suites.SUITES)
     sp.add_argument("--family", required=True, choices=suites.FAMILIES)
     sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=seed, default=0)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("ga")

@@ -18,7 +18,7 @@ class InputError(QgxError):
 
 
 class OrbitTooLargeError(QgxError):
-    """Enumerating the group would exceed the configured cap."""
+    """Enumerating the group would exceed `quotient.DEFAULT_ORBIT_CAP`."""
 
 
 class SizeCapError(QgxError):

@@ -35,10 +35,10 @@ def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
     return tuple(sigma[x - 1] for x in a)
 
 
-def relabeling_action(k: int, cap: int = DEFAULT_ORBIT_CAP) -> GroupAction:
+def relabeling_action(k: int) -> GroupAction:
     """All k! alphabet permutations acting by `relabel`."""
-    if math.factorial(k) > cap:
-        raise InputError(f"k={k} gives {math.factorial(k)} relabelings, over cap {cap}")
+    if math.factorial(k) > DEFAULT_ORBIT_CAP:
+        raise InputError(f"k={k} gives {math.factorial(k)} relabelings, over cap {DEFAULT_ORBIT_CAP}")
     return GroupAction(
         name=f"relabel(k={k})",
         elements=tuple(itertools.permutations(range(1, k + 1))),
@@ -61,14 +61,14 @@ def _check_pair(a: SymbolVector, b: SymbolVector, k: int) -> None:
 def _best_relabeling(a: SymbolVector, b: SymbolVector, k: int) -> tuple[Permutation, int]:
     """Relabeling of b maximizing positionwise agreement with a.
 
-    cooc[j][i] counts positions where b holds label j and a holds label
-    i; assigning b-label j to a-label i earns cooc[j][i] agreements, so
-    the max-agreement relabeling is a min-cost assignment on -cooc.
+    Assigning b-label j to a-label i earns one agreement per position
+    where b holds j and a holds i; neg[j][i] is minus that count, so the
+    max-agreement relabeling is a min-cost assignment on neg.
     """
-    cooc = [[0] * k for _ in range(k)]
+    neg = [[0] * k for _ in range(k)]
     for ai, bi in zip(a, b):
-        cooc[bi - 1][ai - 1] += 1
-    sigma, neg_agree = hungarian([[-c for c in row] for row in cooc])
+        neg[bi - 1][ai - 1] -= 1
+    sigma, neg_agree = hungarian(neg)
     return sigma, len(a) + int(neg_agree)
 
 

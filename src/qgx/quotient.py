@@ -52,11 +52,11 @@ class GroupAction:
         return len(self.elements)
 
 
-def orbit(x: Point, action: GroupAction, cap: int = DEFAULT_ORBIT_CAP) -> frozenset:
+def orbit(x: Point, action: GroupAction) -> frozenset:
     """All distinct images of x under the action (contains x)."""
-    if action.order > cap:
+    if action.order > DEFAULT_ORBIT_CAP:
         raise OrbitTooLargeError(
-            f"group {action.name} has {action.order} elements, cap is {cap}; "
+            f"group {action.name} has {action.order} elements, cap is {DEFAULT_ORBIT_CAP}; "
             "use a representation-specific normalizer"
         )
     return frozenset(action.apply(g, x) for g in action.elements)

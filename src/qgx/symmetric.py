@@ -22,6 +22,7 @@ from .genotypes import (
     Permutation,
     RealVector,
     SymbolVector,
+    compose_permutations,
     identity_permutation,
     invert_permutation,
 )
@@ -36,17 +37,15 @@ def permute_coords(x, sigma: Permutation):
     return tuple(x[sigma[i] - 1] for i in range(len(x)))
 
 
-def coordinate_action(n: int, cap: int = DEFAULT_ORBIT_CAP) -> GroupAction:
+def coordinate_action(n: int) -> GroupAction:
     """All n! coordinate shuffles acting by `permute_coords`.
 
     apply(sigma, apply(tau, x)) picks x at tau(sigma(i)), so the action
     law needs compose(sigma, tau) = tau . sigma (reversed functional
     order).
     """
-    if math.factorial(n) > cap:
-        raise InputError(f"n={n} gives {math.factorial(n)} shuffles, over cap {cap}")
-    from .genotypes import compose_permutations
-
+    if math.factorial(n) > DEFAULT_ORBIT_CAP:
+        raise InputError(f"n={n} gives {math.factorial(n)} shuffles, over cap {DEFAULT_ORBIT_CAP}")
     return GroupAction(
         name=f"coordinate(n={n})",
         elements=tuple(itertools.permutations(range(1, n + 1))),

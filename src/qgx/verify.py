@@ -13,7 +13,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .metrics import Metric
-from .quotient import DEFAULT_ORBIT_CAP, GroupAction, orbit
+from .quotient import GroupAction, orbit
 
 Sampler = Callable[[np.random.Generator], Any]
 
@@ -153,32 +153,26 @@ def verify_quotient_metric(
     rng: np.random.Generator,
     trials: int = 1000,
     tol: float = 0.0,
-    quotient_dist: Callable[[Any, Any], float] | None = None,
+    *,
+    quotient_dist: Callable[[Any, Any], float],
     pair_checks: int = 50,
-    cap: int = DEFAULT_ORBIT_CAP,
 ) -> VerificationReport:
-    """Metric axioms of the quotient distance, plus minimization sanity.
+    """Metric axioms of `quotient_dist`, plus minimization sanity.
 
-    `quotient_dist` may supply a fast representation-specific distance;
-    the fallback enumerates orbits (cached per point). Two extra checks
-    run regardless: class invariance d(x, g(y)) == d(x, y), and equality
-    of one-sided and two-sided orbit minimization on `pair_checks`
-    sampled pairs.
+    Besides the axioms it checks class invariance d(x, g(y)) == d(x, y)
+    and, on `pair_checks` sampled pairs, that one-sided and two-sided
+    orbit minimization agree and that `quotient_dist` equals them (orbits
+    enumerated and cached per point).
     """
     tally = _Tally(f"quotient-metric[{action.name}]")
     orbits: dict[Any, tuple] = {}
 
     def orbit_of(p):
-        got = orbits.get(p)
-        if got is None:
-            got = tuple(orbit(p, action, cap))
-            orbits[p] = got
-        return got
+        if p not in orbits:
+            orbits[p] = tuple(orbit(p, action))
+        return orbits[p]
 
     qd = quotient_dist
-    if qd is None:
-        qd = lambda a, b: min(metric(a, bb) for bb in orbit_of(b))
-
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
         tally.check(abs(qd(x, x)) <= tol, lambda: f"qd(x,x) != 0 for x={x!r}")
@@ -207,10 +201,9 @@ def verify_quotient_metric(
             abs(one_sided - two_sided) <= tol,
             lambda: f"one-sided {one_sided} != two-sided {two_sided} on ({x!r},{y!r})",
         )
-        if quotient_dist is not None:
-            fast = quotient_dist(x, y)
-            tally.check(
-                abs(fast - one_sided) <= tol,
-                lambda: f"fast quotient distance {fast} != enumeration {one_sided} on ({x!r},{y!r})",
-            )
+        fast = qd(x, y)
+        tally.check(
+            abs(fast - one_sided) <= tol,
+            lambda: f"fast quotient distance {fast} != enumeration {one_sided} on ({x!r},{y!r})",
+        )
     return tally.report()

@@ -6,7 +6,9 @@ with the library paths it checks. The exceptions are
 `normalize_real_assignment`, which checks sort-matching of real
 vectors through the library's Hungarian solver instead of a sort, and
 `trivial_action`, which builds the library's `GroupAction` record so
-the orbit-enumeration oracles below can take any group action.
+the orbit-enumeration oracles below can take any group action. And
+`vectorized_hungarian` is no dumb route but the library's former
+assignment solver, which pins the tie rule of the present one.
 """
 
 from __future__ import annotations
@@ -189,6 +191,53 @@ def brute_assignment(cost) -> float:
         sum(cost[i][perm[i]] for i in range(n))
         for perm in itertools.permutations(range(n))
     )
+
+
+def vectorized_hungarian(cost) -> tuple[tuple, float]:
+    """The numpy-vectorized Hungarian solver the library used before its
+    plain-loop one, kept as the reference for the tie rule: rows go in
+    ascending order, `minv` improves only on a strict `<`, and `delta`
+    takes the first minimum over the free columns. Input is not
+    validated."""
+    a = np.asarray(cost, dtype=float)
+    n = a.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match_row = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    cols = np.arange(1, n + 1)
+    for i in range(1, n + 1):
+        match_row[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match_row[j0]
+            free = ~used[1:]
+            cur = a[i0 - 1, :] - u[i0] - v[1:]
+            improved = np.nonzero(free & (cur < minv[1:]))[0]
+            minv[improved + 1] = cur[improved]
+            way[improved + 1] = j0
+            free_j = cols[free]
+            j1 = int(free_j[np.argmin(minv[free_j])])
+            delta = minv[j1]
+            used_j = np.nonzero(used)[0]
+            u[match_row[used_j]] += delta
+            v[used_j] -= delta
+            minv[free_j] -= delta
+            j0 = j1
+            if match_row[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = int(way[j0])
+            match_row[j0] = match_row[j1]
+            j0 = j1
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[match_row[j] - 1] = j
+    total = float(sum(a[i, assignment[i] - 1] for i in range(n)))
+    return tuple(assignment), total
 
 
 def dp_edit_table(s: str, t: str) -> list[list[int]]:

@@ -6,7 +6,7 @@ import pytest
 from qgx.assignment import hungarian
 from qgx.errors import InputError
 
-from oracles import brute_assignment
+from oracles import brute_assignment, vectorized_hungarian
 
 
 def test_identity_favoring_matrix():
@@ -23,11 +23,20 @@ def test_single_cell():
 def test_non_square_rejected():
     with pytest.raises(InputError):
         hungarian([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(InputError):
+        hungarian([1, 2, 3])
 
 
 def test_non_finite_rejected():
     with pytest.raises(InputError):
         hungarian([[1.0, float("inf")], [2.0, 3.0]])
+
+
+def test_overflowing_entries_rejected():
+    # finite entries whose reduced costs overflow leave no column to pick;
+    # without the check the phase would loop forever
+    with pytest.raises(InputError, match="too large"):
+        hungarian([[-1.7e308, 1.7e308], [-1e308, 1e308]])
 
 
 def test_assignment_is_permutation_and_total_consistent():
@@ -89,3 +98,21 @@ def test_medium_instance_fast():
     assignment, total = hungarian(cost)
     assert sorted(assignment) == list(range(1, 201))
     assert total <= cost.trace()
+
+
+def test_matches_vectorized_solver():
+    """Same assignment and same total, bit for bit, as the former solver,
+    on the shapes the program builds (0/1 entries from symmetric-discrete,
+    negated counts from grouping) and on integer and real costs; ties are
+    common in all but the reals, so this pins the tie rule."""
+    rng = np.random.default_rng(17)
+    shapes = (
+        lambda n: rng.integers(0, 2, size=(n, n)),
+        lambda n: -rng.integers(0, 6, size=(n, n)),
+        lambda n: rng.integers(-20, 50, size=(n, n)),
+        lambda n: rng.normal(size=(n, n)),
+    )
+    cases = [make(n).tolist() for n in range(1, 9) for make in shapes for _ in range(100)]
+    cases += [rng.integers(0, 2, size=(n, n)).tolist() for n in range(20, 61, 5)]
+    for cost in cases:
+        assert hungarian(cost) == vectorized_hungarian(cost), cost

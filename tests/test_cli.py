@@ -1,12 +1,15 @@
 """CLI contract: printed values, text formats, exit codes, CSV runs."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgx import cli
+from qgx import cli, suites
 from qgx.verify import VerificationReport
 
 FIG3 = ["--family", "grouping", "--k", "3", "1 2 3 1", "2 1 2 3"]
@@ -204,6 +207,77 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "metric", "--family", "grouping")
         assert code == 1
         assert "broken thing" in out
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        ["distance", *FIG6],
+        ["normalize", *FIG6],
+        ["crossover", *FIG6],
+        ["verify", "--suite", "metric", "--family", "grouping", "--trials", "1"],
+    ])
+    def test_negative_seed_exit_two(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith("argument --seed: must be a non-negative integer, got -1")
+
+    def test_large_seed_accepted(self, capsys):
+        code, out = run(capsys, "crossover", "--seed", str(2**70), *FIG6)
+        assert code == 0
+        assert sorted(out.split()) == sorted(FIG6[2].split())
+
+
+TEXT_FAMILIES = ("grouping", "symmetric-real", "symmetric-discrete", "circular", "sequence")
+TOKENS = st.integers(-3, 9)
+
+
+@st.composite
+def pair_argv(draw):
+    command = draw(st.sampled_from(["distance", "normalize", "crossover"]))
+    argv = [command, "--family", draw(st.sampled_from(TEXT_FAMILIES))]
+    if command != "normalize":
+        argv += ["--mode", draw(st.sampled_from(["raw", "quotient"]))]
+    metric = draw(st.none() | st.sampled_from(["hamming", "euclidean", "swap", "edit"]))
+    if metric is not None:
+        argv += ["--metric", metric]
+    k = draw(st.none() | st.integers(-2, 8))
+    if k is not None:
+        argv += ["--k", str(k)]
+    # mostly equal lengths and shared values, so that many pairs get past parsing
+    n = draw(st.integers(0, 8))
+    first = draw(st.permutations(range(1, n + 1)) | st.lists(TOKENS, min_size=n, max_size=n))
+    second = draw(st.permutations(first) | st.lists(TOKENS, max_size=8))
+    sep = draw(st.sampled_from([" ", ""]))
+    texts = [sep.join(map(str, tokens)) for tokens in (first, second)]
+    return argv + ["--seed", str(draw(st.integers(-3, 2**70))), *texts]
+
+
+@st.composite
+def verify_argv(draw):
+    return [
+        "verify",
+        "--suite", draw(st.sampled_from(list(suites.SUITES))),
+        "--family", draw(st.sampled_from(list(suites.FAMILIES))),
+        "--trials", str(draw(st.integers(1, 3))),
+        "--seed", str(draw(st.integers(-3, 2**70))),
+    ]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pair_argv() | verify_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Any argv exits 0, 1 (verify only), 2 or 3, never 4 and never with a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert code != 1 or argv[0] == "verify", argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 class TestInternalError:

@@ -9,7 +9,7 @@ from qgx.crossovers import mask_crossover, random_mask
 from qgx.errors import OrbitTooLargeError
 from qgx.grouping import relabel, relabeling_action
 from qgx.metrics import hamming_distance, in_segment
-from qgx.quotient import induced_quotient_crossover, orbit
+from qgx.quotient import DEFAULT_ORBIT_CAP, GroupAction, induced_quotient_crossover, orbit
 
 from oracles import (
     exhaustive_li_distance,
@@ -42,8 +42,16 @@ class TestOrbit:
         assert (1, 1, 2, 2) in got
 
     def test_cap(self):
+        too_big = GroupAction(
+            name="too-big",
+            elements=range(DEFAULT_ORBIT_CAP + 1),
+            identity=0,
+            apply=lambda g, x: x,
+            compose=lambda g, h: 0,
+            inverse=lambda g: 0,
+        )
         with pytest.raises(OrbitTooLargeError):
-            orbit((1, 2, 3), shift_action(3), cap=2)
+            orbit((1, 2, 3), too_big)
 
 
 class TestQuotientDistance:

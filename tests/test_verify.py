@@ -16,7 +16,7 @@ from qgx.verify import (
     verify_quotient_metric,
 )
 
-from oracles import trivial_action
+from oracles import quotient_distance, trivial_action
 
 
 def _symbols(n, k):
@@ -105,30 +105,40 @@ def test_metric_axioms_flag_asymmetry():
     assert not report.ok
 
 
+def _enumerated(action, metric):
+    return lambda a, b: quotient_distance(a, b, action, metric)
+
+
 def test_quotient_metric_trivial_group_reduces_to_base():
     rng = np.random.default_rng(8)
+    action = trivial_action()
     report = verify_quotient_metric(
-        trivial_action(), hamming_distance, _symbols(5, 3), rng, 300, pair_checks=30
+        action, hamming_distance, _symbols(5, 3), rng, 300,
+        quotient_dist=_enumerated(action, hamming_distance), pair_checks=30,
     )
     assert report.ok
 
 
 def test_quotient_metric_small_relabeling_group():
     rng = np.random.default_rng(9)
+    action = relabeling_action(3)
     report = verify_quotient_metric(
-        relabeling_action(3), hamming_distance, _symbols(4, 3), rng, 400, pair_checks=40
+        action, hamming_distance, _symbols(4, 3), rng, 400,
+        quotient_dist=_enumerated(action, hamming_distance), pair_checks=40,
     )
     assert report.ok
 
 
 def test_quotient_metric_shift_group():
     rng = np.random.default_rng(10)
+    action = shift_action(4)
     report = verify_quotient_metric(
-        shift_action(4),
+        action,
         hamming_distance,
         lambda r: tuple(int(v) + 1 for v in r.permutation(4)),
         rng,
         400,
+        quotient_dist=_enumerated(action, hamming_distance),
         pair_checks=40,
     )
     assert report.ok
