@@ -83,4 +83,5 @@ def li_normalize(a: SymbolVector, b: SymbolVector, k: int) -> SymbolVector:
     """Relabel b to agree with a as much as possible."""
     _check_pair(a, b, k)
     sigma, _ = _best_relabeling(a, b, k)
-    return relabel(b, sigma)
+    # b's symbols were range-checked by _check_pair, so skip relabel's check
+    return tuple([sigma[x - 1] for x in b])

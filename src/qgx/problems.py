@@ -151,7 +151,9 @@ def symmetric_problem(
             f"unknown symmetric function {function!r}; choose from {sorted(SYMMETRIC_FUNCTIONS)}"
         )
     _check_count("length", length, 1)
-    # high - low overflowing to inf also covers infinite bounds
+    _check_finite("low", low)
+    _check_finite("high", high)
+    # finite bounds can still be too far apart for a float
     if not low <= high or not math.isfinite(high - low):
         raise InputError(f"need finite low <= high, got low={low!r}, high={high!r}")
     fn = SYMMETRIC_FUNCTIONS[function]
@@ -166,6 +168,9 @@ def symmetric_problem(
 
 def sequence_problem(target: str, alphabet: str = "acgt") -> Problem:
     """Toy string matching: edit distance to a fixed target."""
+    for field, value in (("target", target), ("alphabet", alphabet)):
+        if not isinstance(value, str):
+            raise InputError(f"{field} must be a string, got {value!r}")
     check_sequence(target)
     if not target or not alphabet:
         raise InputError("target and alphabet must be non-empty")
@@ -201,7 +206,7 @@ def build_problem(doc: dict) -> Problem:
         raise InputError("problem section must be a mapping with a 'name'")
     params = dict(doc)
     name = params.pop("name")
-    builder = _BUILDERS.get(name)
+    builder = _BUILDERS.get(name) if isinstance(name, str) else None
     if builder is None:
         raise InputError(f"unknown problem {name!r}; choose from {sorted(_BUILDERS)}")
     try:

@@ -14,6 +14,7 @@ triangles between the parents.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,13 +91,13 @@ class Alignment:
     def __post_init__(self):
         if len(self.left) != len(self.right):
             raise InputError("aligned strings must have equal length")
-        if any(a == GAP and b == GAP for a, b in zip(self.left, self.right)):
+        if (GAP, GAP) in zip(self.left, self.right):
             raise InputError("alignment contains a double-gap column")
 
     @property
     def mismatches(self) -> int:
         """Hamming distance between the stretched strings."""
-        return sum(a != b for a, b in zip(self.left, self.right))
+        return sum(map(operator.ne, self.left, self.right))
 
 
 def optimal_align(s: str, t: str) -> Alignment:
@@ -106,12 +107,21 @@ def optimal_align(s: str, t: str) -> Alignment:
     ties resolve match > substitute > delete > insert, scanning from the
     end, which pins one canonical alignment per input pair.
 
-    The edit table comes from the recurrence of `edit_distance` with
-    every column j kept as its delta words (Pv_j, Mv_j); a cell is read
-    only when the backtrace visits it, as
-    D[i][j] = j + popcount(Pv_j & (2^i - 1)) - popcount(Mv_j & (2^i - 1)).
-    Memory is n + 1 pairs of m-bit ints (m = len(s), n = len(t)), about
-    m * n / 4 bits, where a full table takes (m + 1)(n + 1) Python ints.
+    The forward pass is the recurrence of `edit_distance`, keeping every
+    column j as four delta words: vertical Pv_j, Mv_j (bit r is
+    D[r+1][j] - D[r][j] = +1 or -1) and horizontal Ph_j, Mh_j, shifted
+    so that bit r is D[r][j] - D[r][j-1] = +1 or -1. The backtrace
+    starts from D[m][n] = n + popcount(Pv_n) - popcount(Mv_n) and walks
+    the table by single bits: with r = i - 1,
+    D[i-1][j] = D[i][j] - bit_r(Pv_j) + bit_r(Mv_j), and D[i-1][j-1] is
+    that minus bit_r(Ph_j) plus bit_r(Mh_j). Where s[i-1] == t[j-1],
+    unit costs force D[i][j] == D[i-1][j-1] (the match lemma), so a
+    match step reads no bits at all; a mismatch step reads four bits and
+    lands on a predecessor at D[i][j] - 1. Only D[m][n] takes popcounts.
+    The rows are spliced from slices of s and t around the recorded
+    gaps. Memory is n + 1 columns of four ints of about m bits
+    (m = len(s), n = len(t)), where a full table takes (m + 1)(n + 1)
+    Python ints.
     """
     check_sequence(s)
     check_sequence(t)
@@ -119,7 +129,7 @@ def optimal_align(s: str, t: str) -> Alignment:
     peq = _char_masks(s)
     full = (1 << m) - 1
     pv, mv = full, 0
-    cols = [(pv, mv)]
+    cols = [(pv, mv, 0, 0)]
     for ch in t:
         eq = peq.get(ch, 0)
         xv = eq | mv
@@ -128,34 +138,37 @@ def optimal_align(s: str, t: str) -> Alignment:
         mh = (pv & xh) << 1
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
-        cols.append((pv, mv))
+        cols.append((pv, mv, ph, mh))
 
-    def dp(i: int, j: int) -> int:
-        below = (1 << i) - 1
-        col_pv, col_mv = cols[j]
-        return j + (col_pv & below).bit_count() - (col_mv & below).bit_count()
-
+    here = n + pv.bit_count() - mv.bit_count()
+    # row pieces in reverse order; s[:left_end] and t[:right_end] are
+    # not yet placed
     left: list[str] = []
     right: list[str] = []
+    left_end, right_end = m, n
     i, j = m, n
-    while i > 0 or j > 0:
-        here = dp(i, j)
-        if i > 0 and j > 0 and s[i - 1] == t[j - 1] and dp(i - 1, j - 1) == here:
-            i, j = i - 1, j - 1
-            left.append(s[i])
-            right.append(t[j])
-        elif i > 0 and j > 0 and dp(i - 1, j - 1) + 1 == here:
-            i, j = i - 1, j - 1
-            left.append(s[i])
-            right.append(t[j])
-        elif i > 0 and dp(i - 1, j) + 1 == here:
-            i -= 1
-            left.append(s[i])
-            right.append(GAP)
+    while i and j:
+        r = i - 1
+        if s[r] == t[j - 1]:
+            i, j = r, j - 1
+            continue
+        pv, mv, ph, mh = cols[j]
+        up = here - (pv >> r & 1) + (mv >> r & 1)
+        diag = up - (ph >> r & 1) + (mh >> r & 1)
+        # a mismatch cell is 1 + the least of its three predecessors
+        here -= 1
+        if diag == here:
+            i, j = r, j - 1
+        elif up == here:
+            right += (t[j:right_end], GAP)
+            i, right_end = r, j
         else:
             j -= 1
-            left.append(GAP)
-            right.append(t[j])
+            left += (s[i:left_end], GAP)
+            left_end = i
+    # one of i, j is 0: the rest is all deletes or all inserts
+    left += (s[:left_end], GAP * j)
+    right += (t[:right_end], GAP * i)
     return Alignment("".join(reversed(left)), "".join(reversed(right)))
 
 

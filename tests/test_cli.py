@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgx import cli, suites
+from qgx.symmetric import SYMMETRIC_FUNCTIONS
 from qgx.verify import VerificationReport
 
 FIG3 = ["--family", "grouping", "--k", "3", "1 2 3 1", "2 1 2 3"]
@@ -383,3 +384,81 @@ class TestGa:
     def test_missing_config_exit_three(self, capsys, tmp_path):
         assert cli.main(["ga", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("problem,message", [
+        ({"name": "sequence", "target": 5}, "target must be a string, got 5"),
+        ({"name": "sequence", "target": "acgt", "alphabet": 3}, "alphabet must be a string, got 3"),
+        ({"name": "symmetric", "low": "a", "high": "b"}, "low must be a finite number, got 'a'"),
+        ({"name": "symmetric", "low": 0, "high": [1]}, "high must be a finite number, got [1]"),
+    ])
+    def test_ill_typed_problem_fields_are_named(self, capsys, tmp_path, problem, message):
+        config = self._write_config(tmp_path, problem=problem)
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# values of the wrong type or range for any field; no large positive
+# integers, so that a value that passes validation keeps the run small
+JUNK = (
+    st.none() | st.booleans() | st.integers(-3, 1) | st.floats()
+    | st.text(max_size=3) | st.lists(st.integers(0, 2), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1)
+)
+SMALL_PROBLEM_FIELDS = {
+    "partitioning": {"nodes": st.integers(1, 12), "groups": st.integers(1, 5),
+                     "edge_prob": st.floats(0, 1), "instance_seed": st.integers(0, 9),
+                     "balance_weight": st.floats(-10, 10)},
+    "coloring": {"nodes": st.integers(1, 12), "colors": st.integers(1, 5),
+                 "edge_prob": st.floats(0, 1), "instance_seed": st.integers(0, 9)},
+    "tsp": {"cities": st.integers(3, 12), "instance_seed": st.integers(0, 9)},
+    "symmetric": {"function": st.sampled_from(sorted(SYMMETRIC_FUNCTIONS)),
+                  "length": st.integers(1, 12), "low": st.floats(-10, 0),
+                  "high": st.floats(0, 10)},
+    "sequence": {"target": st.text(alphabet="acgt", min_size=1, max_size=12),
+                 "alphabet": st.text(alphabet="acgtαβ", min_size=1, max_size=5)},
+}
+SMALL_GA_FIELDS = {
+    "population": st.sampled_from([2, 4, 6]), "generations": st.integers(1, 2),
+    "crossover_rate": st.floats(0, 1), "mutation_rate": st.floats(0, 1),
+    "tournament": st.integers(1, 4), "mode": st.sampled_from(["raw", "quotient"]),
+    "seed": st.integers(0, 2**64 - 1),
+}
+
+
+@st.composite
+def section(draw, fields: dict):
+    """Each field mostly a small value, sometimes junk or left out, and
+    now and then a key that does not belong."""
+    doc = {}
+    for key, small in fields.items():
+        roll = draw(st.integers(0, 19))
+        if roll < 18:
+            doc[key] = draw(small if roll < 17 else JUNK)
+    if draw(st.integers(0, 19)) == 0:
+        doc["extra"] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def ga_config_docs(draw):
+    name = draw(st.sampled_from(sorted(SMALL_PROBLEM_FIELDS)))
+    problem = draw(section(SMALL_PROBLEM_FIELDS[name]))
+    problem["name"] = draw(JUNK) if draw(st.integers(0, 19)) == 0 else name
+    doc = {"problem": problem, "ga": draw(section(SMALL_GA_FIELDS))}
+    if draw(st.integers(0, 19)) == 0:
+        doc = draw(st.sampled_from([[], {"problem": problem}, doc["ga"]]))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ga_config_docs())
+def test_fuzzed_ga_config_exits_cleanly(tmp_path_factory, doc):
+    """Any config document exits 0, 2 or 3, never 4 and never with a traceback."""
+    folder = tmp_path_factory.mktemp("ga-fuzz")
+    config = folder / "config.json"
+    config.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["ga", "--config", str(config), "--out", str(folder / "run.csv")])
+    assert code in (0, 2, 3), (doc, err.getvalue())
+    assert "Traceback" not in err.getvalue(), doc

@@ -100,6 +100,11 @@ class TestLiNormalize:
             a, b = random_symbols(rng, 6, 4), random_symbols(rng, 6, 4)
             assert li_distance(li_normalize(a, b, 4), b, 4) == 0
 
+    @pytest.mark.parametrize("b", [(1, 4, 2), (0, 1, 2), (1, 2, -1)])
+    def test_label_of_b_out_of_range(self, b):
+        with pytest.raises(InputError, match="outside alphabet 1..3"):
+            li_normalize((1, 2, 3), b, 3)
+
     def test_normalizer_reports_quotient_distance(self):
         family = FAMILIES["grouping"]
         assert family.exact(Options(k=4))

@@ -16,7 +16,7 @@ from qgx.sequences import (
     unstretch,
 )
 
-from oracles import dp_edit_distance, dp_optimal_align, random_string
+from oracles import dp_edit_distance, dp_edit_table, dp_optimal_align, random_string
 
 WORKED_S, WORKED_T = "agcacaca", "acacacta"
 
@@ -32,6 +32,32 @@ def text_pairs(draw):
         draw(st.text(alphabet=alphabet, min_size=n, max_size=n))
         for n in (draw(st.integers(0, 150)), draw(st.integers(0, 150)))
     )
+
+
+@st.composite
+def close_pairs(draw):
+    """A string of length 0-150 and a copy of it after 0-20 random edits,
+    the shape of the GA's parent pairs. One alphabet has a single letter,
+    and half the first strings are a few long runs of one letter."""
+    alphabet = draw(st.sampled_from(["acgt", "ab", "a", "αβγ"]))
+    letter = st.sampled_from(alphabet)
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(letter, st.integers(1, 40)), max_size=6))
+        s = "".join(ch * size for ch, size in runs)[:150]
+    else:
+        s = draw(st.text(alphabet=alphabet, max_size=150))
+    t = list(s)
+    for _ in range(draw(st.integers(0, 20))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            t.insert(draw(st.integers(0, len(t))), draw(letter))
+        elif t:
+            pos = draw(st.integers(0, len(t) - 1))
+            if op == "delete":
+                del t[pos]
+            else:
+                t[pos] = draw(letter)
+    return s, "".join(t)
 
 
 class _AllFirstRng:
@@ -99,6 +125,41 @@ class TestOptimalAlign:
         alignment = optimal_align(*pair)
         assert (alignment.left, alignment.right) == dp_optimal_align(*pair)
 
+    @given(close_pairs())
+    def test_close_pairs_match_full_table_backtrace(self, pair):
+        s, t = pair
+        for x, y in ((s, t), (t, s)):
+            alignment = optimal_align(x, y)
+            assert (alignment.left, alignment.right) == dp_optimal_align(x, y)
+
+    @given(close_pairs())
+    def test_match_lemma(self, pair):
+        # unit costs: wherever the letters match, the diagonal predecessor
+        # has the same distance, which lets the backtrace skip match steps
+        s, t = pair
+        dp = dp_edit_table(s, t)
+        for i in range(1, len(s) + 1):
+            for j in range(1, len(t) + 1):
+                if s[i - 1] == t[j - 1]:
+                    assert dp[i][j] == dp[i - 1][j - 1]
+
+    def test_long_close_pair(self):
+        rng = np.random.default_rng(9)
+        s = "".join("acgt"[c] for c in rng.integers(0, 4, size=400))
+        edited = list(s)
+        for pos in sorted(rng.choice(400, size=60, replace=False), reverse=True):
+            op = rng.integers(0, 3)
+            if op == 0:
+                edited.insert(pos, "acgt"[rng.integers(0, 4)])
+            elif op == 1:
+                del edited[pos]
+            else:
+                edited[pos] = "acgt"[rng.integers(0, 4)]
+        t = "".join(edited)
+        alignment = optimal_align(s, t)
+        assert (alignment.left, alignment.right) == dp_optimal_align(s, t)
+        assert alignment.mismatches == dp_edit_distance(s, t)
+
     def test_mismatches_equal_edit_distance(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -132,8 +193,12 @@ class TestOptimalAlign:
             assert hamming_distance(stretched[0], stretched[1]) >= edit_distance(s, t)
 
     def test_double_gap_columns_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="double-gap column"):
             Alignment("a-b", "a-c")
+
+    def test_unequal_rows_rejected(self):
+        with pytest.raises(InputError, match="equal length"):
+            Alignment("ab", "a")
 
 
 class TestHomologousCrossover:
