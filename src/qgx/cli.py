@@ -66,7 +66,7 @@ def cmd_distance(args) -> int:
 def cmd_normalize(args) -> int:
     # prints y* only; for sequences that is the aligned (stretched) second parent
     family, opts, (a, b) = _pair(args)
-    _, y_star, _ = family.normalize(a, b, opts, np.random.default_rng(args.seed))
+    _, y_star = family.normalize(a, b, opts, np.random.default_rng(args.seed))
     print(family.format(y_star))
     return EXIT_OK
 
@@ -123,11 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
         "crossovers, property suites, and GA experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    metrics = list(dict.fromkeys(m for family in FAMILIES.values() for m in family.metrics))
 
     def add_pair_command(name: str, func, with_mode: bool):
         sp = sub.add_parser(name)
         sp.add_argument("--family", required=True, choices=FAMILIES)
-        sp.add_argument("--metric", default=None, choices=["hamming", "euclidean", "swap", "edit"])
+        sp.add_argument("--metric", default=None, choices=metrics)
         if with_mode:
             sp.add_argument("--mode", default="quotient", choices=["raw", "quotient"])
         sp.add_argument("--k", type=int, default=None, help="alphabet size (grouping)")

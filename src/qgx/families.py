@@ -6,11 +6,15 @@ metrics, the isometry group, the normalizer, the quotient distance, the
 raw (base) crossover and mutation. Quotient mode is not written per
 family: `Family.quotient_crossover` builds it from the normalizer and
 the raw crossover with `quotient.induced_quotient_crossover`. Every
-normalizer moves the pair to close representatives of their classes: a
-group family keeps the first parent and moves the second, and the
-sequence family, whose stretch relation is not a group action, aligns
-both parents, so its quotient crossover is `tail_padded_crossover` run
-on the two aligned rows.
+normalizer returns the pair (x*, y*) moved to close representatives of
+their classes, and nothing else: a group family keeps the first parent
+and moves the second, and the sequence family, whose stretch relation
+is not a group action, aligns both parents, so its quotient crossover
+is `tail_padded_crossover` run on the two aligned rows. The distance
+between the classes is `Family.quotient_distance`, the one place each
+family defines it; when the normalizer is exact, it equals the base
+distance of (x*, y*), the Hamming distance of the two rows for
+sequences.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -19,6 +23,7 @@ import time), so replacing a module attribute reaches every caller.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -70,8 +75,8 @@ class Family:
     suite: Options  # the sizes the verify suites sample at
     metrics: dict[str, Metric]  # allowed base metrics; the first is the default
     action: Callable[[Options], GroupAction]  # the isometry group
-    # (x, y, opts, rng) -> (x*, y*, distance): the pair moved within its classes toward
-    # each other; x* is x for every family with a group
+    # (x, y, opts, rng) -> (x*, y*): the pair moved within its classes toward each
+    # other; x* is x for every family with a group
     normalize: Callable
     quotient_distance: Callable[[Options, np.random.Generator], Metric]
     crossover: Callable  # raw crossover (x, y, rng), geometric under the base metric
@@ -141,16 +146,6 @@ def _base(opts: Options) -> str:
     return opts.metric or "hamming"
 
 
-def _li_normalize(x, y, opts, rng):
-    y_star = grouping.li_normalize(x, y, opts.k)
-    return x, y_star, hamming_distance(x, y_star)
-
-
-def _rotate(x, y, opts, rng):
-    y_star = circular.normalize(x, y, _base(opts))
-    return x, y_star, circular.BASE_METRICS[_base(opts)](x, y_star)
-
-
 def _graph_exact(opts: Options) -> bool:
     return opts.size is not None and opts.size <= graphs.EXACT_MATCH_CAP
 
@@ -162,8 +157,7 @@ def _graph_match(x, y, opts, rng) -> graphs.MatchResult:
 
 
 def _graph_normalize(x, y, opts, rng):
-    match = _graph_match(x, y, opts, rng)
-    return x, graphs.conjugate(y, match.permutation), match.dist
+    return x, graphs.conjugate(y, _graph_match(x, y, opts, rng).permutation)
 
 
 def _graph_distance(opts, rng) -> Metric:
@@ -172,9 +166,7 @@ def _graph_distance(opts, rng) -> Metric:
     return lambda x, y: _graph_match(x, y, opts, rng).dist
 
 
-def _align(x, y, opts, rng):
-    alignment = sequences.optimal_align(x, y)
-    return alignment.left, alignment.right, alignment.mismatches
+_ROWS = operator.attrgetter("left", "right")  # an alignment as the moved pair
 
 
 def _no_group(opts):
@@ -268,7 +260,7 @@ _FAMILIES = (
         suite=Options(k=4, size=6),
         metrics={"hamming": hamming_distance},
         action=lambda o: grouping.relabeling_action(o.k),
-        normalize=_li_normalize,
+        normalize=lambda x, y, o, rng: (x, grouping.li_normalize(x, y, o.k)),
         quotient_distance=lambda o, rng: lambda x, y: grouping.li_distance(x, y, o.k),
         crossover=_uniform,
         mutate=_mutate_symbols,
@@ -299,7 +291,7 @@ _FAMILIES = (
         suite=Options(size=5),
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (x, *symmetric.normalize_real(x, y)),
+        normalize=lambda x, y, o, rng: (x, symmetric.normalize_real(x, y)[0]),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
         mutate=_mutate_reals,
@@ -314,7 +306,7 @@ _FAMILIES = (
         suite=Options(k=3, size=5),
         metrics={"hamming": hamming_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (x, *symmetric.normalize_discrete(x, y)),
+        normalize=lambda x, y, o, rng: (x, symmetric.normalize_discrete(x, y)[0]),
         quotient_distance=lambda o, rng: symmetric.quotient_hamming,
         crossover=_uniform,
         mutate=_mutate_symbols,
@@ -329,7 +321,7 @@ _FAMILIES = (
         suite=Options(size=7),
         metrics=circular.BASE_METRICS,
         action=lambda o: circular.shift_action(o.size),
-        normalize=_rotate,
+        normalize=lambda x, y, o, rng: (x, circular.normalize(x, y, _base(o))),
         quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
         crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
         mutate=_mutate_swap,
@@ -345,7 +337,7 @@ _FAMILIES = (
         # compares stretched (equal-length) genotypes
         metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
         action=_no_group,
-        normalize=_align,
+        normalize=lambda x, y, o, rng: _ROWS(sequences.optimal_align(x, y)),
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,

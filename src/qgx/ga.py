@@ -10,13 +10,13 @@ which keeps paired comparisons fair.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .families import FAMILIES, Options
+from .families import FAMILIES, SEQUENCE_ALPHABET, Options
 from .problems import Problem
 
 MODES = ("raw", "quotient")
@@ -58,14 +58,10 @@ class GAConfig:
 def config_from_dict(doc: dict) -> GAConfig:
     if not isinstance(doc, dict):
         raise InputError("ga section must be a mapping")
-    fields = {
-        "population", "generations", "crossover_rate",
-        "mutation_rate", "tournament", "mode", "seed",
-    }
-    unknown = set(doc) - fields
+    unknown = set(doc) - {f.name for f in fields(GAConfig)}
     if unknown:
         raise InputError(f"unknown ga config keys: {sorted(unknown)}")
-    missing = {"population", "generations"} - set(doc)
+    missing = {f.name for f in fields(GAConfig) if f.default is MISSING} - set(doc)
     if missing:
         raise InputError(f"missing ga config keys: {sorted(missing)}")
     return GAConfig(**doc)
@@ -111,7 +107,7 @@ def mutate(
     rng: np.random.Generator,
     *,
     k: int | None = None,
-    alphabet: str = "acgt",
+    alphabet: str = SEQUENCE_ALPHABET,
 ):
     """Family-preserving mutation; rate 0 leaves the genotype unchanged."""
     if not 0.0 <= rate <= 1.0:

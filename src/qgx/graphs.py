@@ -34,23 +34,6 @@ AdjacencyMatrix = tuple[tuple[int, ...], ...]
 EXACT_MATCH_CAP = 8
 
 
-def adjacency(rows) -> AdjacencyMatrix:
-    """Validate and freeze a simple undirected adjacency matrix."""
-    a = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise InputError("adjacency matrix must be square and non-empty")
-    for i in range(n):
-        if a[i][i] != 0:
-            raise InputError(f"diagonal entry ({i + 1},{i + 1}) must be 0")
-        for j in range(n):
-            if a[i][j] not in (0, 1):
-                raise InputError(f"entry ({i + 1},{j + 1}) must be 0 or 1")
-            if a[i][j] != a[j][i]:
-                raise InputError(f"matrix not symmetric at ({i + 1},{j + 1})")
-    return a
-
-
 def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
     if n < 1:
         raise InputError(f"a graph needs at least one node, got n={n}")
@@ -68,13 +51,13 @@ def edges_of(a: AdjacencyMatrix) -> tuple[tuple[int, int], ...]:
 
 
 def parse_edge_list(text: str) -> AdjacencyMatrix:
-    """Parse the edge-list format: "n m" header, then m lines "u v" (1-based)."""
+    """Parse the edge-list format: "n m" header, then exactly m lines "u v" (1-based)."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:
         raise InputError("empty edge list")
     try:
         n, m = (int(x) for x in lines[0].split())
-        edges = [tuple(int(x) for x in ln.split()) for ln in lines[1 : m + 1]]
+        edges = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
     except ValueError as exc:
         raise InputError(f"bad edge list: {exc}") from exc
     if len(edges) != m or any(len(e) != 2 for e in edges):
@@ -123,7 +106,6 @@ def conjugation_action(n: int) -> GroupAction:
 class MatchResult(NamedTuple):
     dist: int
     permutation: Permutation
-    exact: bool
 
 
 @functools.cache
@@ -147,7 +129,7 @@ def quotient_distance_exact(a: AdjacencyMatrix, b: AdjacencyMatrix) -> MatchResu
     relabeled = np.array(b, dtype=np.int8).reshape(n, n)[p[:, :, None], p[:, None, :]]
     dists = (relabeled != np.array(a, dtype=np.int8).reshape(n, n)).sum(axis=(1, 2))
     best = int(dists.argmin())  # argmin keeps the first minimum
-    return MatchResult(int(dists[best]), tuple(int(v) + 1 for v in p[best]), True)
+    return MatchResult(int(dists[best]), tuple(int(v) + 1 for v in p[best]))
 
 
 def _descend(a: AdjacencyMatrix, b: AdjacencyMatrix, p: Permutation) -> tuple[int, Permutation]:
@@ -192,7 +174,7 @@ def match_heuristic(
             best_d, best_p = d, p
         if best_d == 0:
             break
-    return MatchResult(best_d, best_p, False)
+    return MatchResult(best_d, best_p)
 
 
 def uniform_edge_crossover(

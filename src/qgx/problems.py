@@ -17,7 +17,7 @@ import numpy as np
 
 from .circular import tour_length
 from .errors import InputError
-from .families import FAMILIES
+from .families import FAMILIES, SEQUENCE_ALPHABET
 from .genotypes import (
     random_permutation,
     random_real_vector,
@@ -166,7 +166,7 @@ def symmetric_problem(
     )
 
 
-def sequence_problem(target: str, alphabet: str = "acgt") -> Problem:
+def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
     """Toy string matching: edit distance to a fixed target."""
     for field, value in (("target", target), ("alphabet", alphabet)):
         if not isinstance(value, str):

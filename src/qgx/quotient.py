@@ -71,12 +71,12 @@ def induced_quotient_crossover(
 
     The returned operator normalizes the pair, then runs the base
     geometric crossover on (x*, y*). `normalize(x, y, rng)` returns
-    (x*, y*, distance): x* in the class of x and y* in the class of y,
+    the pair (x*, y*): x* in the class of x and y* in the class of y,
     as close to each other as the normalizer finds. A group normalizer
     returns x itself as x*; sequence alignment stretches both parents.
-    When the normalizer is exact, the pair realizes the quotient
-    distance and the offspring stays in the quotient segment; a
-    heuristic normalizer only upper-bounds it.
+    When the normalizer is exact, the base distance of the pair is the
+    quotient distance and the offspring stays in the quotient segment;
+    a heuristic normalizer only upper-bounds it.
 
     An exact normalizer draws no randomness and returns the pair itself
     when y == x, so equal parents skip it. A heuristic one may draw from
@@ -86,7 +86,7 @@ def induced_quotient_crossover(
 
     def offspring(x: Point, y: Point, rng: np.random.Generator) -> Point:
         if not (exact and x == y):
-            x, y, _ = normalize(x, y, rng)
+            x, y = normalize(x, y, rng)
         return crossover(x, y, rng)
 
     return offspring

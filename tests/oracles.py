@@ -9,6 +9,8 @@ vectors through the library's Hungarian solver instead of a sort, and
 the orbit-enumeration oracles below can take any group action. And
 `vectorized_hungarian` is no dumb route but the library's former
 assignment solver, which pins the tie rule of the present one.
+`adjacency` is no oracle but a validator: it checks that a matrix is a
+simple undirected graph.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from collections import deque
 import numpy as np
 
 from qgx.assignment import hungarian
+from qgx.errors import InputError
+from qgx.graphs import AdjacencyMatrix
 from qgx.quotient import GroupAction
 
 
@@ -136,6 +140,23 @@ def exhaustive_symmetric_real(x: tuple, y: tuple) -> float:
 def exhaustive_symmetric_discrete(x: tuple, y: tuple) -> int:
     """min Hamming distance over all orderings of y."""
     return min(_hamming(x, perm) for perm in itertools.permutations(y))
+
+
+def adjacency(rows) -> AdjacencyMatrix:
+    """Validate and freeze a simple undirected adjacency matrix."""
+    a = tuple(tuple(int(x) for x in row) for row in rows)
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise InputError("adjacency matrix must be square and non-empty")
+    for i in range(n):
+        if a[i][i] != 0:
+            raise InputError(f"diagonal entry ({i + 1},{i + 1}) must be 0")
+        for j in range(n):
+            if a[i][j] not in (0, 1):
+                raise InputError(f"entry ({i + 1},{j + 1}) must be 0 or 1")
+            if a[i][j] != a[j][i]:
+                raise InputError(f"matrix not symmetric at ({i + 1},{j + 1})")
+    return a
 
 
 def brute_graph_distance(a: tuple, b: tuple) -> int:

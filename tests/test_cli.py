@@ -81,6 +81,12 @@ class TestDistance:
         assert cli.main([command, "--family", "circular", "", ""]) == 2
         assert "non-empty" in capsys.readouterr().err
 
+    def test_graph_with_extra_edge_lines_exit_two(self, capsys, tmp_path):
+        graph = tmp_path / "f.edges"
+        graph.write_text("3 1\n1 2\n2 3\n")
+        assert cli.main(["normalize", "--family", "graph", str(graph), str(graph)]) == 2
+        assert "announces 1 edges, found 2" in capsys.readouterr().err
+
     def test_graph_without_nodes_exit_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.edges"
         empty.write_text("0 0\n")

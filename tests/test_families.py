@@ -4,7 +4,7 @@ CLI, the suites and problem validation all read the one mapping."""
 import numpy as np
 import pytest
 
-from qgx import cli, ga, problems, sequences, suites
+from qgx import cli, ga, grouping, problems, sequences, suites
 from qgx.errors import InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
@@ -33,8 +33,10 @@ def test_exact_normalizer_leaves_equal_parent(name):
     # the invariant behind skipping normalization of equal parents
     family = FAMILIES[name]
     assert family.exact(family.suite)
+    qdist = family.quotient_distance(family.suite, None)
     for x, _ in _pairs(family, 30, 2):
-        assert family.normalize(x, x, family.suite, None) == (x, x, 0)
+        assert family.normalize(x, x, family.suite, None) == (x, x)
+        assert qdist(x, x) == 0
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -42,16 +44,15 @@ def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
     family = FAMILIES[name]
     qdist = family.quotient_distance(family.suite, None)
     for x, y in _pairs(family, 20, 3):
-        x_star, y_star, dist = family.normalize(x, y, family.suite, None)
-        assert dist == pytest.approx(qdist(x, y), abs=family.tol)
+        x_star, y_star = family.normalize(x, y, family.suite, None)
         if name == "sequence":
             # alignment stretches both parents; the rows project back onto them
             assert (sequences.unstretch(x_star), sequences.unstretch(y_star)) == (x, y)
-            assert family.metrics["hamming"](x_star, y_star) == dist
+            assert family.metrics["hamming"](x_star, y_star) == qdist(x, y)
         else:
             assert x_star == x  # a group moves the second parent only
             assert qdist(y_star, y) == pytest.approx(0, abs=family.tol)
-            assert family.base_metric(x, y_star) == pytest.approx(dist, abs=family.tol)
+            assert family.base_metric(x_star, y_star) == pytest.approx(qdist(x, y), abs=family.tol)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -63,9 +64,20 @@ def test_quotient_crossover_is_raw_crossover_after_normalization(name):
             y = x
         rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
         child = xover(x, y, rng_a)
-        x_star, y_star, _ = family.normalize(x, y, family.suite, rng_b)
+        x_star, y_star = family.normalize(x, y, family.suite, rng_b)
         assert child == family.crossover(x_star, y_star, rng_b)
         assert rng_a.random() == rng_b.random()
+
+
+def test_readme_library_example():
+    x, y, k = (1, 2, 3, 1), (2, 1, 2, 3), 3
+    assert grouping.li_distance(x, y, k) == 1
+    assert grouping.li_normalize(x, y, k) == (3, 2, 3, 1)
+    family = FAMILIES["grouping"]
+    assert family.normalize(x, y, Options(k=k), None) == ((1, 2, 3, 1), (3, 2, 3, 1))
+    assert family.quotient_distance(Options(k=k), None)(x, y) == 1
+    crossover = family.quotient_crossover(Options(k=k))
+    assert crossover(x, y, np.random.default_rng(0)) == (3, 2, 3, 1)
 
 
 def test_heuristic_graph_matching_runs_for_equal_parents():

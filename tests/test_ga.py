@@ -13,7 +13,7 @@ from qgx.ga import (
     run_ga,
 )
 from qgx.genotypes import random_real_vector
-from qgx.graphs import adjacency, random_adjacency
+from qgx.graphs import random_adjacency
 from qgx.problems import (
     Problem,
     build_problem,
@@ -23,6 +23,8 @@ from qgx.problems import (
     sequence_problem,
     symmetric_problem,
 )
+
+from oracles import adjacency
 
 
 def _tiny_config(**overrides):
