@@ -24,10 +24,9 @@ from .genotypes import (
     Permutation,
     compose_permutations,
     identity_permutation,
-    invert_permutation,
     random_permutation,
 )
-from .quotient import GroupAction
+from .quotient import GroupAction, permutation_group
 
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
@@ -41,6 +40,8 @@ def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
             raise InputError(f"bad edge ({u},{v}) for n={n}")
+        if grid[u - 1][v - 1]:
+            raise InputError(f"repeated edge ({u},{v})")
         grid[u - 1][v - 1] = grid[v - 1][u - 1] = 1
     return tuple(tuple(row) for row in grid)
 
@@ -91,15 +92,12 @@ def conjugate(a: AdjacencyMatrix, p: Permutation) -> AdjacencyMatrix:
 
 
 def conjugation_action(n: int) -> GroupAction:
-    """All n! relabelings acting by `conjugate` (reversed compose, as for
-    coordinate shuffles: apply(g, apply(h, A)) reads A through h . g)."""
-    return GroupAction(
-        name=f"conjugation(n={n})",
-        elements=tuple(itertools.permutations(range(1, n + 1))),
-        identity=identity_permutation(n),
-        apply=lambda p, a: conjugate(a, p),
-        compose=lambda g, h: compose_permutations(h, g),
-        inverse=invert_permutation,
+    """All n! node relabelings by `conjugate`; compose reversed (`permutation_group`)."""
+    return permutation_group(
+        f"conjugation(n={n})",
+        n,
+        lambda g, a: conjugate(a, g),
+        lambda g, h: compose_permutations(h, g),
     )
 
 

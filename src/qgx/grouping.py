@@ -11,19 +11,10 @@ O(k^3) instead of enumerating k! candidates.
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from .assignment import hungarian
 from .errors import DimensionError, InputError
-from .genotypes import (
-    Permutation,
-    SymbolVector,
-    compose_permutations,
-    identity_permutation,
-    invert_permutation,
-)
-from .quotient import DEFAULT_ORBIT_CAP, GroupAction
+from .genotypes import Permutation, SymbolVector, compose_permutations
+from .quotient import GroupAction, permutation_group
 
 
 def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
@@ -36,17 +27,8 @@ def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
 
 
 def relabeling_action(k: int) -> GroupAction:
-    """All k! alphabet permutations acting by `relabel`."""
-    if math.factorial(k) > DEFAULT_ORBIT_CAP:
-        raise InputError(f"k={k} gives {math.factorial(k)} relabelings, over cap {DEFAULT_ORBIT_CAP}")
-    return GroupAction(
-        name=f"relabel(k={k})",
-        elements=tuple(itertools.permutations(range(1, k + 1))),
-        identity=identity_permutation(k),
-        apply=lambda sigma, a: relabel(a, sigma),
-        compose=compose_permutations,
-        inverse=invert_permutation,
-    )
+    """All k! alphabet relabelings by `relabel`; functional compose (`permutation_group`)."""
+    return permutation_group(f"relabel(k={k})", k, lambda g, a: relabel(a, g), compose_permutations)
 
 
 def _check_pair(a: SymbolVector, b: SymbolVector, k: int) -> None:

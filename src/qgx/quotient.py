@@ -18,12 +18,15 @@ is carried as any representative plus the action.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import OrbitTooLargeError
+from .errors import InputError, OrbitTooLargeError
+from .genotypes import Permutation, identity_permutation, invert_permutation
 
 DEFAULT_ORBIT_CAP = 10**6
 
@@ -50,6 +53,32 @@ class GroupAction:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def permutation_group(
+    name: str,
+    n: int,
+    apply: Callable[[Permutation, Point], Point],
+    compose: Callable[[Permutation, Permutation], Permutation],
+) -> GroupAction:
+    """All n! permutations of 1..n, in `itertools.permutations` order.
+
+    Raises InputError when n! is over `DEFAULT_ORBIT_CAP`. An action
+    that reads x through the permutation (entry i is x at sigma(i))
+    turns apply(g, apply(h, x)) into a read through h . g, so its
+    `compose` is reversed, compose(g, h) = h . g; a relabeling action
+    (each value v goes to sigma(v)) composes in functional order.
+    """
+    if math.factorial(n) > DEFAULT_ORBIT_CAP:
+        raise InputError(f"{name} has {math.factorial(n)} elements, over cap {DEFAULT_ORBIT_CAP}")
+    return GroupAction(
+        name=name,
+        elements=tuple(itertools.permutations(range(1, n + 1))),
+        identity=identity_permutation(n),
+        apply=apply,
+        compose=compose,
+        inverse=invert_permutation,
+    )
 
 
 def orbit(x: Point, action: GroupAction) -> frozenset:

@@ -14,13 +14,12 @@ triangles between the parents.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import crossovers
 from .errors import InputError
-from .genotypes import FIRST
 
 GAP = "-"
 
@@ -51,34 +50,26 @@ def edit_distance(s: str, t: str) -> int:
     a column of the edit table is two len(s)-bit words of vertical
     deltas, +1 (Pv) and -1 (Mv), and each character of t advances it
     with a fixed number of word operations, O(|t| * ceil(|s|/w)) word
-    operations in all for word width w. The score starts at len(s) and
-    follows the horizontal delta of the bottom row.
+    operations in all for word width w. The step is `optimal_align`'s
+    forward pass without the stored columns, and the score is read from
+    the final column: D[m][n] = n + popcount(Pv) - popcount(Mv), where
+    m = len(s) and n = len(t).
     """
     if s == t:
         return 0
-    m, n = len(s), len(t)
-    if m == 0 or n == 0:
-        return m + n
     peq = _char_masks(s)
-    full = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, score = full, 0, m
+    full = (1 << len(s)) - 1
+    pv, mv = full, 0
     for ch in t:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
         # row 0 holds D[0][j] = j, so its horizontal delta is always +1
-        ph = (ph << 1) | 1
-        mh <<= 1
+        ph = ((mv | ~(xh | pv)) << 1) | 1
+        mh = (pv & xh) << 1
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
-    return score
+    return len(t) + pv.bit_count() - mv.bit_count()
 
 
 @dataclass(frozen=True)
@@ -93,11 +84,6 @@ class Alignment:
             raise InputError("aligned strings must have equal length")
         if (GAP, GAP) in zip(self.left, self.right):
             raise InputError("alignment contains a double-gap column")
-
-    @property
-    def mismatches(self) -> int:
-        """Hamming distance between the stretched strings."""
-        return sum(map(operator.ne, self.left, self.right))
 
 
 def optimal_align(s: str, t: str) -> Alignment:
@@ -173,8 +159,8 @@ def optimal_align(s: str, t: str) -> Alignment:
 
 
 def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:
-    """Pad the shorter parent with trailing gaps, run mask crossover
-    positionwise, strip gaps.
+    """Mask crossover on the two parents padded with trailing gaps to a
+    common width, with the gaps stripped from the offspring.
 
     On two raw sequences this is the raw baseline, which does not align.
     On the two rows of `optimal_align` (equal length, so nothing is
@@ -185,8 +171,4 @@ def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:
     width = max(len(s), len(t))
     a = s.ljust(width, GAP)
     b = t.ljust(width, GAP)
-    picked = (
-        x if bit == FIRST else y
-        for x, y, bit in zip(a, b, rng.integers(0, 2, size=width))
-    )
-    return unstretch("".join(picked))
+    return unstretch("".join(crossovers.mask_crossover(a, b, crossovers.random_mask(width, rng))))

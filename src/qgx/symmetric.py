@@ -12,22 +12,13 @@ symbols the two vectors share, counted with multiplicity.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 
 from .assignment import hungarian
-from .errors import DimensionError, InputError
-from .genotypes import (
-    Permutation,
-    RealVector,
-    SymbolVector,
-    compose_permutations,
-    identity_permutation,
-    invert_permutation,
-)
+from .errors import DimensionError
+from .genotypes import Permutation, RealVector, SymbolVector, compose_permutations
 from .metrics import euclidean_distance
-from .quotient import DEFAULT_ORBIT_CAP, GroupAction
+from .quotient import GroupAction, permutation_group
 
 
 def permute_coords(x, sigma: Permutation):
@@ -38,21 +29,12 @@ def permute_coords(x, sigma: Permutation):
 
 
 def coordinate_action(n: int) -> GroupAction:
-    """All n! coordinate shuffles acting by `permute_coords`.
-
-    apply(sigma, apply(tau, x)) picks x at tau(sigma(i)), so the action
-    law needs compose(sigma, tau) = tau . sigma (reversed functional
-    order).
-    """
-    if math.factorial(n) > DEFAULT_ORBIT_CAP:
-        raise InputError(f"n={n} gives {math.factorial(n)} shuffles, over cap {DEFAULT_ORBIT_CAP}")
-    return GroupAction(
-        name=f"coordinate(n={n})",
-        elements=tuple(itertools.permutations(range(1, n + 1))),
-        identity=identity_permutation(n),
-        apply=lambda sigma, x: permute_coords(x, sigma),
-        compose=lambda g, h: compose_permutations(h, g),
-        inverse=invert_permutation,
+    """All n! coordinate shuffles by `permute_coords`; compose reversed (`permutation_group`)."""
+    return permutation_group(
+        f"coordinate(n={n})",
+        n,
+        lambda g, x: permute_coords(x, g),
+        lambda g, h: compose_permutations(h, g),
     )
 
 

@@ -116,15 +116,16 @@ def test_criterion_04_circular_worked_example():
 def test_criterion_05_alignment_worked_example():
     alignment = sequences.optimal_align(WORKED_S, WORKED_T)
     edit = sequences.edit_distance(WORKED_S, WORKED_T)
+    mismatches = hamming_distance(alignment.left, alignment.right)
     ok = (
-        alignment.mismatches == 2
+        mismatches == 2
         and edit == 2
         and sequences.unstretch(alignment.left) == WORKED_S
         and sequences.unstretch(alignment.right) == WORKED_T
     )
     _criterion(
         5, "alignment reproduction", ok,
-        f"alignment=({alignment.left}, {alignment.right}), mismatches={alignment.mismatches}",
+        f"alignment=({alignment.left}, {alignment.right}), mismatches={mismatches}",
     )
 
 

@@ -87,6 +87,12 @@ class TestDistance:
         assert cli.main(["normalize", "--family", "graph", str(graph), str(graph)]) == 2
         assert "announces 1 edges, found 2" in capsys.readouterr().err
 
+    def test_graph_with_repeated_edge_exit_two(self, capsys, tmp_path):
+        graph = tmp_path / "f.edges"
+        graph.write_text("3 2\n1 2\n2 1\n")
+        assert cli.main(["normalize", "--family", "graph", str(graph), str(graph)]) == 2
+        assert "repeated edge (2,1)" in capsys.readouterr().err
+
     def test_graph_without_nodes_exit_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.edges"
         empty.write_text("0 0\n")
@@ -285,6 +291,61 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert code != 1 or argv[0] == "verify", argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+EDGE_FAULTS = [None, None, "junk header", "count off", "self-loop", "repeat", "out of range"]
+
+
+@st.composite
+def edge_list_text(draw, n, fault):
+    """An edge-list text for n nodes, with one fault or none."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edge = st.sampled_from(pairs or [(1, 2)]).flatmap(lambda e: st.sampled_from([e, e[::-1]]))
+    edges = draw(st.lists(edge, max_size=8, unique_by=frozenset)) if pairs else []
+    node = st.integers(1, max(n, 1))
+    if fault == "self-loop":
+        edges.append((draw(node),) * 2)
+    elif fault == "repeat" and edges:
+        u, v = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(u, v), (v, u)])))
+    elif fault == "out of range":
+        edges.append((draw(st.sampled_from([-1, 0, n + 1])), draw(node)))
+    m = len(edges) + (draw(st.sampled_from([-1, 1])) if fault == "count off" else 0)
+    header = f"{n} {m}"
+    if fault == "junk header":
+        header = draw(st.sampled_from(["", "n m", f"{n}", f"{n} {m} 0", f"{n} 1.5"]))
+    return "\n".join([header, *(f"{u} {v}" for u, v in edges)]) + "\n"
+
+
+@st.composite
+def graph_argv(draw):
+    command = draw(st.sampled_from(["distance", "normalize", "crossover"]))
+    argv = [command, "--family", "graph", "--restarts", "1"]
+    if command != "normalize":
+        argv += ["--mode", draw(st.sampled_from(["raw", "quotient"]))]
+    n = draw(st.integers(0, 10))
+    sizes = [n, draw(st.sampled_from([n, n, n + 1]))]
+    faults = [draw(st.sampled_from(EDGE_FAULTS)), None]
+    if draw(st.booleans()):
+        faults.reverse()
+    texts = [draw(edge_list_text(size, fault)) for size, fault in zip(sizes, faults)]
+    return argv + ["--seed", str(draw(st.integers(0, 9)))], texts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph_argv())
+def test_fuzzed_edge_lists_exit_cleanly(tmp_path_factory, case):
+    """Any edge-list pair exits 0, 2 or 3, never with a traceback."""
+    argv, texts = case
+    folder = tmp_path_factory.mktemp("edges")
+    paths = [folder / "a.edges", folder / "b.edges"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv + [str(p) for p in paths])
+    assert code in (0, 2, 3), (argv, texts, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, texts)
 
 
 class TestInternalError:

@@ -67,6 +67,12 @@ class TestAdjacency:
         with pytest.raises(InputError):
             adjacency_from_edges(3, [(2, 2)])
 
+    @pytest.mark.parametrize("edges", [[(1, 2), (3, 1), (1, 2)], [(1, 2), (3, 1), (2, 1)]])
+    def test_rejects_repeated_edge(self, edges):
+        u, v = edges[-1]
+        with pytest.raises(InputError, match=rf"repeated edge \({u},{v}\)"):
+            adjacency_from_edges(3, edges)
+
 
 class TestConjugate:
     def test_identity(self):

@@ -6,10 +6,12 @@ import pytest
 
 from qgx.circular import shift, shift_action
 from qgx.crossovers import mask_crossover, random_mask
-from qgx.errors import OrbitTooLargeError
+from qgx.errors import InputError, OrbitTooLargeError
+from qgx.graphs import conjugation_action
 from qgx.grouping import relabel, relabeling_action
 from qgx.metrics import hamming_distance, in_segment
 from qgx.quotient import DEFAULT_ORBIT_CAP, GroupAction, induced_quotient_crossover, orbit
+from qgx.symmetric import coordinate_action
 
 from oracles import (
     exhaustive_li_distance,
@@ -52,6 +54,12 @@ class TestOrbit:
         )
         with pytest.raises(OrbitTooLargeError):
             orbit((1, 2, 3), too_big)
+
+    @pytest.mark.parametrize("build", [relabeling_action, coordinate_action, conjugation_action])
+    def test_permutation_groups_share_one_cap(self, build):
+        # 10! = 3,628,800 is over the cap; the check runs before any element is built
+        with pytest.raises(InputError, match=r"=10\) has 3628800 elements, over cap 1000000$"):
+            build(10)
 
 
 class TestQuotientDistance:

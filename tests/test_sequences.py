@@ -110,7 +110,7 @@ class TestOptimalAlign:
     def test_worked_pair(self):
         alignment = optimal_align(WORKED_S, WORKED_T)
         assert (alignment.left, alignment.right) == ("agcacac-a", "a-cacacta")
-        assert alignment.mismatches == 2
+        assert hamming_distance(alignment.left, alignment.right) == 2
 
     def test_self_alignment(self):
         alignment = optimal_align("acgt", "acgt")
@@ -158,7 +158,7 @@ class TestOptimalAlign:
         t = "".join(edited)
         alignment = optimal_align(s, t)
         assert (alignment.left, alignment.right) == dp_optimal_align(s, t)
-        assert alignment.mismatches == dp_edit_distance(s, t)
+        assert hamming_distance(alignment.left, alignment.right) == dp_edit_distance(s, t)
 
     def test_mismatches_equal_edit_distance(self):
         rng = np.random.default_rng(0)
@@ -168,7 +168,7 @@ class TestOptimalAlign:
             alignment = optimal_align(s, t)
             assert unstretch(alignment.left) == s
             assert unstretch(alignment.right) == t
-            assert alignment.mismatches == edit_distance(s, t)
+            assert hamming_distance(alignment.left, alignment.right) == edit_distance(s, t)
 
     def test_arbitrary_stretching_is_lower_bounded(self):
         # pad with gaps at random spots: Hamming of the stretched pair can
