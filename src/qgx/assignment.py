@@ -1,9 +1,10 @@
 """Minimum-cost perfect matching (Hungarian algorithm).
 
 Augmenting-path variant with row/column potentials, O(n^3), in plain
-loops: the program solves 3x3 to 5x5 matrices, too small to repay numpy's
-per-call cost. Rows are inserted in ascending order, `minv` improves only
-on a strictly smaller value and column ties go to the lowest index, so
+loops: grouping solves k x k (k = 3-4 in configs, goldens, ga-partition),
+symmetric-discrete n x n (n = 5 in suites, 8 in the golden GA, 200 in the
+acceptance floor). Rows go in ascending order, `minv` improves only on a
+strictly smaller value and column ties go to the lowest index, so
 equal-cost optima are reproducible - normalizers downstream rely on that.
 """
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .genotypes import FIRST, Mask, Permutation, RealVector
+from .metrics import require_same_length
 
 
 def random_mask(n: int, rng: np.random.Generator) -> Mask:
@@ -34,8 +35,7 @@ def uniform_crossover(p1, p2, rng: np.random.Generator) -> tuple:
 
 def line_crossover(p1: RealVector, p2: RealVector, lam: float) -> RealVector:
     """Convex combination lam*p1 + (1-lam)*p2."""
-    if len(p1) != len(p2):
-        raise DimensionError(f"length mismatch: {len(p1)} vs {len(p2)}")
+    require_same_length(p1, p2)
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"blend weight must be in [0,1], got {lam}")
     return tuple(lam * a + (1.0 - lam) * b for a, b in zip(p1, p2))

@@ -176,12 +176,6 @@ def _no_group(opts):
     )
 
 
-def _sample_sequence(rng: np.random.Generator, opts: Options) -> str:
-    n = int(rng.integers(1, opts.size + 1))
-    alphabet = SEQUENCE_ALPHABET
-    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
-
-
 def _uniform(x, y, rng):
     return crossovers.uniform_crossover(x, y, rng)
 
@@ -218,16 +212,9 @@ def _mutate_swap(g, rate, rng, k, alphabet):
 
 
 def _mutate_edges(g, rate, rng, k, alphabet):
-    n = len(g)
-    hits = rng.random(n * (n - 1) // 2) < rate
-    out = [list(row) for row in g]
-    cell = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if hits[cell]:
-                out[i][j] = out[j][i] = 1 - out[i][j]
-            cell += 1
-    return tuple(tuple(row) for row in out)
+    pairs = graphs.node_pairs(len(g))
+    flips = {pair for pair, hit in zip(pairs, rng.random(len(pairs)) < rate) if hit}
+    return graphs.adjacency_from_edges(len(g), flips.symmetric_difference(graphs.edges_of(g)))
 
 
 def _mutate_edit(s, rate, rng, k, alphabet):
@@ -331,7 +318,7 @@ _FAMILIES = (
         name="sequence",
         parse=lambda text, k: sequences.check_sequence(text),
         format=str,
-        sample=_sample_sequence,
+        sample=lambda rng, o: sequences.random_sequence(o.size, SEQUENCE_ALPHABET, rng),
         suite=Options(size=12),
         # edit distance is the class-level distance of stretchings; Hamming
         # compares stretched (equal-length) genotypes

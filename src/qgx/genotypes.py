@@ -29,10 +29,15 @@ def symbol_vector(values: Iterable[int], k: int) -> SymbolVector:
         raise InputError(f"alphabet size must be >= 1, got {k}")
     if not v:
         raise InputError("symbol vector must be non-empty")
+    check_symbols(v, k)
+    return v
+
+
+def check_symbols(v: Iterable[int], k: int) -> None:
+    """Raise `InputError` naming the first symbol of v outside the alphabet {1..k}."""
     for x in v:
         if not 1 <= x <= k:
             raise InputError(f"symbol {x} outside alphabet 1..{k}")
-    return v
 
 
 def real_vector(values: Iterable[float]) -> RealVector:

@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import crossovers
 from .errors import DimensionError, InputError, SizeCapError
 from .genotypes import (
-    FIRST,
     Permutation,
     compose_permutations,
     identity_permutation,
@@ -33,7 +33,14 @@ AdjacencyMatrix = tuple[tuple[int, ...], ...]
 EXACT_MATCH_CAP = 8
 
 
+@functools.cache
+def node_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The node pairs (u, v), u < v, 1-based, row by row: every edge walk's order."""
+    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+
+
 def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
+    """The simple graph on nodes 1..n with these edges; the one n x n grid build."""
     if n < 1:
         raise InputError(f"a graph needs at least one node, got n={n}")
     grid = [[0] * n for _ in range(n)]
@@ -47,8 +54,7 @@ def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
 
 
 def edges_of(a: AdjacencyMatrix) -> tuple[tuple[int, int], ...]:
-    n = len(a)
-    return tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if a[i][j])
+    return tuple((u, v) for u, v in node_pairs(len(a)) if a[u - 1][v - 1])
 
 
 def parse_edge_list(text: str) -> AdjacencyMatrix:
@@ -178,7 +184,8 @@ def match_heuristic(
 def uniform_edge_crossover(
     a: AdjacencyMatrix, b: AdjacencyMatrix, rng: np.random.Generator
 ) -> AdjacencyMatrix:
-    """Uniform crossover per upper-triangle cell, mirrored for symmetry.
+    """Mask crossover on the parents' edge bits at `node_pairs`, with one
+    `crossovers.random_mask` draw: a fair coin per node pair.
 
     Recombines the matrices as given: raw mode passes the parents
     unmatched, quotient mode passes the second parent matched to the
@@ -186,22 +193,16 @@ def uniform_edge_crossover(
     """
     if len(a) != len(b):
         raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    child = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit = a[i][j] if rng.integers(0, 2) == FIRST else b[i][j]
-            child[i][j] = child[j][i] = bit
-    return tuple(tuple(row) for row in child)
+    pairs = node_pairs(len(a))
+    bits_a, bits_b = ([g[u - 1][v - 1] for u, v in pairs] for g in (a, b))
+    bits = crossovers.mask_crossover(bits_a, bits_b, crossovers.random_mask(len(pairs), rng))
+    return adjacency_from_edges(len(a), itertools.compress(pairs, bits))
 
 
 def random_adjacency(n: int, edge_prob: float, rng: np.random.Generator) -> AdjacencyMatrix:
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                grid[i][j] = grid[j][i] = 1
-    return tuple(tuple(row) for row in grid)
+    """One `rng.random` draw per node pair, an edge where it is < edge_prob; n < 1 raises."""
+    pairs = node_pairs(n)
+    return adjacency_from_edges(n, itertools.compress(pairs, rng.random(len(pairs)) < edge_prob))
 
 
 def make_quotient_hamming() -> Callable[[AdjacencyMatrix, AdjacencyMatrix], int]:

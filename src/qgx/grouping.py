@@ -12,17 +12,14 @@ O(k^3) instead of enumerating k! candidates.
 from __future__ import annotations
 
 from .assignment import hungarian
-from .errors import DimensionError, InputError
-from .genotypes import Permutation, SymbolVector, compose_permutations
+from .genotypes import Permutation, SymbolVector, check_symbols, compose_permutations
+from .metrics import require_same_length
 from .quotient import GroupAction, permutation_group
 
 
 def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
     """Send every symbol through the alphabet permutation sigma."""
-    k = len(sigma)
-    for x in a:
-        if not 1 <= x <= k:
-            raise InputError(f"symbol {x} outside alphabet 1..{k}")
+    check_symbols(a, len(sigma))
     return tuple(sigma[x - 1] for x in a)
 
 
@@ -32,12 +29,9 @@ def relabeling_action(k: int) -> GroupAction:
 
 
 def _check_pair(a: SymbolVector, b: SymbolVector, k: int) -> None:
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    for v in (a, b):
-        for x in v:
-            if not 1 <= x <= k:
-                raise InputError(f"symbol {x} outside alphabet 1..{k}")
+    require_same_length(a, b)
+    check_symbols(a, k)
+    check_symbols(b, k)
 
 
 def _best_relabeling(a: SymbolVector, b: SymbolVector, k: int) -> tuple[Permutation, int]:

@@ -16,19 +16,20 @@ from .genotypes import Permutation, invert_permutation
 Metric = Callable[[object, object], float]
 
 
-def _require_same_length(a: Sequence, b: Sequence) -> None:
+def require_same_length(a: Sequence, b: Sequence) -> None:
+    """Raise `DimensionError` unless a and b have the same length."""
     if len(a) != len(b):
         raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
 def hamming_distance(a: Sequence, b: Sequence) -> int:
     """Number of positions where a and b differ."""
-    _require_same_length(a, b)
+    require_same_length(a, b)
     return sum(x != y for x, y in zip(a, b))
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    _require_same_length(a, b)
+    require_same_length(a, b)
     return math.dist(a, b)
 
 
@@ -37,7 +38,7 @@ def swap_distance(p: Permutation, q: Permutation) -> int:
 
     Equals n minus the number of cycles of the composition q . p^-1.
     """
-    _require_same_length(p, q)
+    require_same_length(p, q)
     n = len(p)
     inv_p = invert_permutation(p)
     seen = [False] * n

@@ -24,7 +24,7 @@ from .genotypes import (
     random_symbol_vector,
 )
 from .graphs import edges_of, random_adjacency
-from .sequences import GAP, check_sequence, edit_distance
+from .sequences import GAP, check_sequence, edit_distance, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
 
 
@@ -177,15 +177,11 @@ def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
     if GAP in alphabet:
         raise InputError(f"alphabet may not contain the gap symbol {GAP!r}: {alphabet!r}")
 
-    def init(rng: np.random.Generator) -> str:
-        n = int(rng.integers(1, 2 * len(target) + 1))
-        return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
-
     return Problem(
         name=f"sequence-match(len={len(target)})",
         family="sequence",
         fitness=lambda s: float(edit_distance(s, target)),
-        initializer=init,
+        initializer=lambda rng: random_sequence(2 * len(target), alphabet, rng),
         size=len(target),
         alphabet=alphabet,
     )

@@ -35,6 +35,12 @@ def unstretch(s: str) -> str:
     return s.replace(GAP, "")
 
 
+def random_sequence(max_len: int, alphabet: str, rng: np.random.Generator) -> str:
+    """A length uniform over 1..max_len, then that many letters uniform over alphabet."""
+    n = int(rng.integers(1, max_len + 1))
+    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
+
+
 def _char_masks(s: str) -> dict[str, int]:
     """peq[c] has bit i set where s[i] == c."""
     peq: dict[str, int] = {}

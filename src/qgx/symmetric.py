@@ -17,7 +17,7 @@ from collections import Counter
 from .assignment import hungarian
 from .errors import DimensionError
 from .genotypes import Permutation, RealVector, SymbolVector, compose_permutations
-from .metrics import euclidean_distance
+from .metrics import euclidean_distance, require_same_length
 from .quotient import GroupAction, permutation_group
 
 
@@ -45,8 +45,7 @@ def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     differences, hence the Euclidean distance, over all rearrangements
     of y. Equal values keep their original index order.
     """
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
+    require_same_length(x, y)
     slots = sorted(range(len(x)), key=lambda i: (x[i], i))
     y_sorted = sorted(y)
     y_star = [0.0] * len(x)
@@ -58,8 +57,7 @@ def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
 
 def normalize_discrete(x: SymbolVector, y: SymbolVector) -> tuple[SymbolVector, int]:
     """Rearrangement of y minimizing Hamming distance to x (assignment)."""
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
+    require_same_length(x, y)
     cost = [[0 if xi == yj else 1 for yj in y] for xi in x]
     assign, total = hungarian(cost)
     y_star = tuple(y[assign[i] - 1] for i in range(len(x)))
@@ -77,8 +75,7 @@ def quotient_hamming(x: SymbolVector, y: SymbolVector) -> int:
     count_y(s)) times and some rearrangement matches them all, so this is
     `normalize_discrete`'s total without the assignment problem.
     """
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch: {len(x)} vs {len(y)}")
+    require_same_length(x, y)
     return len(x) - sum((Counter(x) & Counter(y)).values())
 
 

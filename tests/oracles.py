@@ -10,7 +10,10 @@ the orbit-enumeration oracles below can take any group action. And
 `vectorized_hungarian` is no dumb route but the library's former
 assignment solver, which pins the tie rule of the present one.
 `adjacency` is no oracle but a validator: it checks that a matrix is a
-simple undirected graph.
+simple undirected graph. `loop_random_adjacency`,
+`loop_uniform_edge_crossover` and `loop_mutate_edges` are the former
+per-cell library loops, kept to pin the rng draws of the node-pair forms
+that replaced them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from collections import deque
 import numpy as np
 
 from qgx.assignment import hungarian
-from qgx.errors import InputError
+from qgx.errors import DimensionError, InputError
+from qgx.genotypes import FIRST
 from qgx.graphs import AdjacencyMatrix
 from qgx.quotient import GroupAction
 
@@ -191,6 +195,44 @@ def loop_graph_match(a: tuple, b: tuple) -> tuple[int, tuple]:
             if d == 0:
                 break
     return best_d, best_p
+
+
+def loop_random_adjacency(n: int, edge_prob: float, rng: np.random.Generator) -> AdjacencyMatrix:
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                grid[i][j] = grid[j][i] = 1
+    return tuple(tuple(row) for row in grid)
+
+
+def loop_uniform_edge_crossover(
+    a: AdjacencyMatrix, b: AdjacencyMatrix, rng: np.random.Generator
+) -> AdjacencyMatrix:
+    """Uniform crossover per upper-triangle cell, mirrored for symmetry."""
+    if len(a) != len(b):
+        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
+    n = len(a)
+    child = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit = a[i][j] if rng.integers(0, 2) == FIRST else b[i][j]
+            child[i][j] = child[j][i] = bit
+    return tuple(tuple(row) for row in child)
+
+
+def loop_mutate_edges(g, rate, rng, k, alphabet):
+    """The graph family's edge-flip mutation, one draw per upper-triangle cell."""
+    n = len(g)
+    hits = rng.random(n * (n - 1) // 2) < rate
+    out = [list(row) for row in g]
+    cell = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if hits[cell]:
+                out[i][j] = out[j][i] = 1 - out[i][j]
+            cell += 1
+    return tuple(tuple(row) for row in out)
 
 
 def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:

@@ -19,6 +19,7 @@ from qgx.graphs import (
     make_quotient_hamming,
     match_heuristic,
     matrix_hamming,
+    node_pairs,
     parse_edge_list,
     quotient_distance_exact,
     random_adjacency,
@@ -26,7 +27,14 @@ from qgx.graphs import (
 )
 from qgx.quotient import orbit
 
-from oracles import adjacency, brute_graph_distance, loop_graph_match
+from oracles import (
+    adjacency,
+    brute_graph_distance,
+    loop_graph_match,
+    loop_mutate_edges,
+    loop_random_adjacency,
+    loop_uniform_edge_crossover,
+)
 
 # the worked 3-node pair: a path graph and a "cherry" with the same shape
 PATH_A = ((0, 1, 0), (1, 0, 1), (0, 1, 0))
@@ -72,6 +80,39 @@ class TestAdjacency:
         u, v = edges[-1]
         with pytest.raises(InputError, match=rf"repeated edge \({u},{v}\)"):
             adjacency_from_edges(3, edges)
+
+
+class TestEdgeDraws:
+    """The node-pair walks draw what the former per-cell loops drew."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_same_matrices_and_generator_state_as_the_cell_loops(self, n):
+        mutate = FAMILIES["graph"].mutate
+
+        def same(new_call, old_call, seed):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert new_call(new) == old_call(old)
+            assert new.bit_generator.state == old.bit_generator.state
+
+        for seed in range(6):
+            for prob in (0.0, 0.3, 1.0):
+                pair_rng = np.random.default_rng([n, seed])
+                a = loop_random_adjacency(n, prob, pair_rng)
+                b = loop_random_adjacency(n, 0.5, pair_rng)
+                same(lambda r: random_adjacency(n, prob, r),
+                     lambda r: loop_random_adjacency(n, prob, r), seed)
+                same(lambda r: mutate(b, prob, r, None, None),
+                     lambda r: loop_mutate_edges(b, prob, r, None, None), seed)
+                same(lambda r: uniform_edge_crossover(a, b, r),
+                     lambda r: loop_uniform_edge_crossover(a, b, r), seed)
+
+    def test_node_pairs_row_by_row(self):
+        assert node_pairs(1) == ()
+        assert node_pairs(4) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+    def test_no_graph_without_nodes(self):
+        with pytest.raises(InputError, match="at least one node, got n=0"):
+            random_adjacency(0, 0.5, np.random.default_rng(0))
 
 
 class TestConjugate:

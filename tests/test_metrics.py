@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qgx.errors import DimensionError
+from qgx.crossovers import line_crossover
+from qgx.errors import DimensionError, InputError, QgxError
+from qgx.genotypes import symbol_vector
+from qgx.grouping import li_distance, li_normalize, relabel
 from qgx.metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
+from qgx.symmetric import normalize_discrete, normalize_real, quotient_hamming
 
 from oracles import all_swap_distances_from, bfs_swap_distance
 
@@ -129,3 +133,28 @@ def test_swap_axioms(data):
     assert swap_distance(x, x) == 0
     assert swap_distance(x, y) == swap_distance(y, x)
     assert swap_distance(x, z) <= swap_distance(x, y) + swap_distance(y, z)
+
+
+# Each entry point that runs the shared alphabet check
+# (`genotypes.check_symbols`) or length check (`metrics.require_same_length`)
+# raises the class and the exact text it raised when each held its own copy.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: symbol_vector([1, 4], 3), InputError, "symbol 4 outside alphabet 1..3"),
+        (lambda: relabel((2, 0), (2, 1, 3)), InputError, "symbol 0 outside alphabet 1..3"),
+        (lambda: li_distance((1, 2), (4, 1), 3), InputError, "symbol 4 outside alphabet 1..3"),
+        (lambda: li_normalize((5, 1), (1, 7), 4), InputError, "symbol 5 outside alphabet 1..4"),
+        (lambda: li_distance((1, 2), (1, 2, 3), 3), DimensionError, "length mismatch: 2 vs 3"),
+        (lambda: li_distance((9,), (1, 2), 3), DimensionError, "length mismatch: 1 vs 2"),
+        (lambda: normalize_real((1.0,), (1.0, 2.0)), DimensionError, "length mismatch: 1 vs 2"),
+        (lambda: normalize_discrete((1, 2, 3), (1, 2)), DimensionError, "length mismatch: 3 vs 2"),
+        (lambda: quotient_hamming((1,), ()), DimensionError, "length mismatch: 1 vs 0"),
+        (lambda: line_crossover((1.0, 2.0), (1.0,), 0.5), DimensionError, "length mismatch: 2 vs 1"),
+    ],
+)
+def test_shared_checks_keep_every_message(call, error, message):
+    with pytest.raises(QgxError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
