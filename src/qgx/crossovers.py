@@ -17,7 +17,7 @@ from .metrics import require_same_length
 
 def random_mask(n: int, rng: np.random.Generator) -> Mask:
     """Fair coin per position."""
-    return tuple(int(b) for b in rng.integers(0, 2, size=n))
+    return tuple(rng.integers(0, 2, size=n).tolist())
 
 
 def mask_crossover(p1, p2, m: Mask) -> tuple:

@@ -14,7 +14,12 @@ is `tail_padded_crossover` run on the two aligned rows. The distance
 between the classes is `Family.quotient_distance`, the one place each
 family defines it; when the normalizer is exact, it equals the base
 distance of (x*, y*), the Hamming distance of the two rows for
-sequences.
+sequences. The GA normalizes per parent pair: `Family.normalize_pair`
+returns both orders' moved pairs, by two `normalize` calls unless the
+family serves both from one piece of work (`normalize_both`; the
+sequence family's alignment does), and `ga.crossover_operator` crosses
+them; a heuristic normalizer keeps the interleaved normalize, cross,
+normalize, cross order, because it draws from the crossover stream.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -87,6 +92,9 @@ class Family:
     resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
+    # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)) from one piece of
+    # shared work; None makes the two calls
+    normalize_both: Callable | None = None
 
     @property
     def default_metric(self) -> str:
@@ -98,6 +106,16 @@ class Family:
 
     def sampler(self) -> Callable[[np.random.Generator], Any]:
         return lambda rng: self.sample(rng, self.suite)
+
+    def normalize_pair(self, x, y, opts: Options, rng) -> tuple[tuple, tuple]:
+        """Both orders of a parent pair: (normalize(x, y), normalize(y, x)).
+
+        Only exact normalizers come here (see `ga.crossover_operator`), so
+        the two results do not depend on the order they are computed in.
+        """
+        if self.normalize_both is not None:
+            return self.normalize_both(x, y, opts, rng)
+        return self.normalize(x, y, opts, rng), self.normalize(y, x, opts, rng)
 
     def quotient_crossover(self, opts: Options) -> Callable:
         """(x, y, rng) -> offspring of the quotient crossover."""
@@ -325,6 +343,7 @@ _FAMILIES = (
         metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
         action=_no_group,
         normalize=lambda x, y, o, rng: _ROWS(sequences.optimal_align(x, y)),
+        normalize_both=lambda x, y, o, rng: tuple(map(_ROWS, sequences.optimal_align_both(x, y))),
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,

@@ -89,15 +89,37 @@ class RunResult:
 
 
 def crossover_operator(problem: Problem, mode: str) -> Callable:
-    """Pick the family's base crossover (raw) or its quotient version."""
+    """The crossover step of one parent pair: (p1, p2, rng) -> the two
+    children, of (p1, p2) and of (p2, p1), by the family's base crossover
+    (raw) or its quotient version.
+
+    An exact normalizer draws no randomness, so quotient mode normalizes
+    the pair in both orders first (`Family.normalize_pair`, which a
+    family may serve from one piece of work) and then runs the base
+    crossover twice; the rng draws are those of normalize, cross,
+    normalize, cross. Equal parents skip normalization, as in
+    `quotient.induced_quotient_crossover`. A heuristic normalizer draws
+    from rng, so it keeps that interleaved order.
+    """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if problem.family not in FAMILIES:
         raise ParameterError(f"unknown family {problem.family!r}")
     family = FAMILIES[problem.family]
-    if mode == "raw":
-        return family.crossover
-    return family.quotient_crossover(Options(k=problem.k, size=problem.size))
+    opts = Options(k=problem.k, size=problem.size)
+    cross = family.crossover
+    if mode == "quotient" and family.exact(opts):
+
+        def both_children(x, y, rng):
+            if x == y:
+                return cross(x, y, rng), cross(y, x, rng)
+            (x1, y1), (y2, x2) = family.normalize_pair(x, y, opts, rng)
+            return cross(x1, y1, rng), cross(y2, x2, rng)
+
+        return both_children
+    if mode == "quotient":
+        cross = family.quotient_crossover(opts)
+    return lambda x, y, rng: (cross(x, y, rng), cross(y, x, rng))
 
 
 def mutate(
@@ -151,7 +173,7 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
             p1 = population[_tournament(fitness, config.tournament, rng_sel)]
             p2 = population[_tournament(fitness, config.tournament, rng_sel)]
             if rng_cx.random() < config.crossover_rate:
-                children = (xover(p1, p2, rng_cx), xover(p2, p1, rng_cx))
+                children = xover(p1, p2, rng_cx)
             else:
                 children = (p1, p2)
             offspring.extend(children[: size - len(offspring)])

@@ -10,7 +10,12 @@ after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
 the one quotient mode every family runs (see `families`). Sequences,
 which have no group, take the same path: alignment normalizes the pair
-by stretching both parents.
+by stretching both parents. The CLI and the verify suites run it one
+offspring at a time through `induced_quotient_crossover`; the GA, which
+crosses each pair in both orders, normalizes the pair in both orders
+first and then runs the base crossover twice (`ga.crossover_operator`),
+except under a heuristic normalizer, which keeps the interleaved
+normalize, cross, normalize, cross order.
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.

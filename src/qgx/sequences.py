@@ -10,6 +10,16 @@ strips the gaps. Aligning two sequences with minimal mismatching columns
 realizes their edit distance, and mask crossover on an optimal
 alignment (homologous crossover) keeps offspring on tight edit-distance
 triangles between the parents.
+
+A GA crosses each parent pair in both orders, so `optimal_align_both`
+returns both alignments from one forward pass. The table of t against
+s is the transpose of the table of s against t, and the forward pass
+keeps each column's vertical (Pv, Mv) and horizontal (Ph, Mh) delta
+words. The transposed backtrace walks the cells of s against t: it
+reads D[i][j-1] as bit i of column j's Ph/Mh and D[i-1][j-1] as bit
+i-1 of column j-1's Pv/Mv, and it breaks ties in its own frame (match >
+substitute > delete > insert, where its delete drops a letter of t), so
+it returns exactly `optimal_align(t, s)`.
 """
 
 from __future__ import annotations
@@ -56,10 +66,10 @@ def edit_distance(s: str, t: str) -> int:
     a column of the edit table is two len(s)-bit words of vertical
     deltas, +1 (Pv) and -1 (Mv), and each character of t advances it
     with a fixed number of word operations, O(|t| * ceil(|s|/w)) word
-    operations in all for word width w. The step is `optimal_align`'s
-    forward pass without the stored columns, and the score is read from
-    the final column: D[m][n] = n + popcount(Pv) - popcount(Mv), where
-    m = len(s) and n = len(t).
+    operations in all for word width w. The step is the forward pass of
+    `optimal_align` (`_columns`) without the stored columns, and the
+    score is read from the final column: D[m][n] = n + popcount(Pv) -
+    popcount(Mv), where m = len(s) and n = len(t).
     """
     if s == t:
         return 0
@@ -92,34 +102,18 @@ class Alignment:
             raise InputError("alignment contains a double-gap column")
 
 
-def optimal_align(s: str, t: str) -> Alignment:
-    """Minimal-mismatch stretching of s and t to a common length.
+def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
+    """The forward pass of `edit_distance`, keeping columns 0..len(t) of
+    the table of s against t as (Pv, Mv, Ph, Mh) delta words.
 
-    The mismatch count of the result equals the edit distance. Backtrace
-    ties resolve match > substitute > delete > insert, scanning from the
-    end, which pins one canonical alignment per input pair.
-
-    The forward pass is the recurrence of `edit_distance`, keeping every
-    column j as four delta words: vertical Pv_j, Mv_j (bit r is
-    D[r+1][j] - D[r][j] = +1 or -1) and horizontal Ph_j, Mh_j, shifted
-    so that bit r is D[r][j] - D[r][j-1] = +1 or -1. The backtrace
-    starts from D[m][n] = n + popcount(Pv_n) - popcount(Mv_n) and walks
-    the table by single bits: with r = i - 1,
-    D[i-1][j] = D[i][j] - bit_r(Pv_j) + bit_r(Mv_j), and D[i-1][j-1] is
-    that minus bit_r(Ph_j) plus bit_r(Mh_j). Where s[i-1] == t[j-1],
-    unit costs force D[i][j] == D[i-1][j-1] (the match lemma), so a
-    match step reads no bits at all; a mismatch step reads four bits and
-    lands on a predecessor at D[i][j] - 1. Only D[m][n] takes popcounts.
-    The rows are spliced from slices of s and t around the recorded
-    gaps. Memory is n + 1 columns of four ints of about m bits
-    (m = len(s), n = len(t)), where a full table takes (m + 1)(n + 1)
-    Python ints.
+    Bit r of Pv_j, Mv_j is D[r+1][j] - D[r][j] = +1 or -1; Ph_j, Mh_j are
+    shifted so that bit r is D[r][j] - D[r][j-1] = +1 or -1, for rows
+    r = 0..len(s). Column 0 holds Pv = all ones and no horizontal deltas.
     """
     check_sequence(s)
     check_sequence(t)
-    m, n = len(s), len(t)
     peq = _char_masks(s)
-    full = (1 << m) - 1
+    full = (1 << len(s)) - 1
     pv, mv = full, 0
     cols = [(pv, mv, 0, 0)]
     for ch in t:
@@ -131,7 +125,27 @@ def optimal_align(s: str, t: str) -> Alignment:
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
         cols.append((pv, mv, ph, mh))
+    return cols
 
+
+def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
+    """The two rows of an optimal alignment of s and t, walked back from
+    D[m][n] (m = len(s), n = len(t)) over the columns `_columns(s, t)`
+    kept.
+
+    Where s[i-1] == t[j-1], unit costs force D[i][j] == D[i-1][j-1] (the
+    match lemma), so a match step reads no bits at all. A mismatch cell
+    is 1 + the least of its three predecessors; the step reads four bits
+    to find one at D[i][j] - 1, and only D[m][n] takes popcounts. Ties
+    resolve match > substitute > drop a letter of s (delete) > drop a
+    letter of t (insert), the order of `optimal_align(s, t)`: D[i-1][j]
+    is bit i-1 of column j's Pv/Mv and D[i-1][j-1] bit i-1 of its Ph/Mh.
+    With t_first the last two swap, the order of `optimal_align(t, s)`
+    (see `optimal_align_both`). The rows are spliced from slices of s
+    and t around the recorded gaps.
+    """
+    m, n = len(s), len(t)
+    pv, mv, _, _ = cols[n]
     here = n + pv.bit_count() - mv.bit_count()
     # row pieces in reverse order; s[:left_end] and t[:right_end] are
     # not yet placed
@@ -145,13 +159,19 @@ def optimal_align(s: str, t: str) -> Alignment:
             i, j = r, j - 1
             continue
         pv, mv, ph, mh = cols[j]
-        up = here - (pv >> r & 1) + (mv >> r & 1)
-        diag = up - (ph >> r & 1) + (mh >> r & 1)
-        # a mismatch cell is 1 + the least of its three predecessors
         here -= 1
+        if t_first:
+            side = here + 1 - (ph >> i & 1) + (mh >> i & 1)
+            pv, mv, _, _ = cols[j - 1]
+            diag = side - (pv >> r & 1) + (mv >> r & 1)
+            delete = side != here
+        else:
+            up = here + 1 - (pv >> r & 1) + (mv >> r & 1)
+            diag = up - (ph >> r & 1) + (mh >> r & 1)
+            delete = up == here
         if diag == here:
             i, j = r, j - 1
-        elif up == here:
+        elif delete:
             right += (t[j:right_end], GAP)
             i, right_end = r, j
         else:
@@ -161,7 +181,39 @@ def optimal_align(s: str, t: str) -> Alignment:
     # one of i, j is 0: the rest is all deletes or all inserts
     left += (s[:left_end], GAP * j)
     right += (t[:right_end], GAP * i)
-    return Alignment("".join(reversed(left)), "".join(reversed(right)))
+    return "".join(reversed(left)), "".join(reversed(right))
+
+
+def optimal_align(s: str, t: str) -> Alignment:
+    """Minimal-mismatch stretching of s and t to a common length.
+
+    The mismatch count of the result equals the edit distance. Backtrace
+    ties resolve match > substitute > delete > insert, scanning from the
+    end, which pins one canonical alignment per input pair.
+
+    The forward pass (`_columns`) is the recurrence of `edit_distance`,
+    keeping every column j as four delta words, and the backtrace
+    (`_backtrace`) walks that table by single bits. Memory is n + 1
+    columns of four ints of about m bits (m = len(s), n = len(t)), where
+    a full table takes (m + 1)(n + 1) Python ints.
+    """
+    return Alignment(*_backtrace(s, t, _columns(s, t), False))
+
+
+def optimal_align_both(s: str, t: str) -> tuple[Alignment, Alignment]:
+    """(optimal_align(s, t), optimal_align(t, s)) from one forward pass.
+
+    The table of t against s is the transpose of the table of s against
+    t, so the columns kept for s against t serve both backtraces. The
+    second walks the same cells with the tie order of `optimal_align(t,
+    s)` in that call's own frame (match > substitute > delete > insert,
+    where its delete drops a letter of t); it reads D[i][j-1] as bit i of
+    column j's Ph/Mh and D[i-1][j-1] as bit i-1 of column j-1's Pv/Mv.
+    Its rows come out in the order (s, t) and are swapped.
+    """
+    cols = _columns(s, t)
+    s_row, t_row = _backtrace(s, t, cols, True)
+    return Alignment(*_backtrace(s, t, cols, False)), Alignment(t_row, s_row)
 
 
 def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:

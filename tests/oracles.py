@@ -13,7 +13,11 @@ assignment solver, which pins the tie rule of the present one.
 simple undirected graph. `loop_random_adjacency`,
 `loop_uniform_edge_crossover` and `loop_mutate_edges` are the former
 per-cell library loops, kept to pin the rng draws of the node-pair forms
-that replaced them.
+that replaced them. `generator_random_mask` is the former per-scalar
+mask draw, kept the same way. `two_call_crossover_operator` is the GA's
+former crossover step, which ran the single-offspring operator once per
+order and normalized each time; it pins the rng draws and the results of
+the pair-level step that replaced it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
+from qgx.families import FAMILIES, Options
 from qgx.genotypes import FIRST
 from qgx.graphs import AdjacencyMatrix
 from qgx.quotient import GroupAction
@@ -233,6 +238,20 @@ def loop_mutate_edges(g, rate, rng, k, alphabet):
                 out[i][j] = out[j][i] = 1 - out[i][j]
             cell += 1
     return tuple(tuple(row) for row in out)
+
+
+def generator_random_mask(n: int, rng: np.random.Generator) -> tuple:
+    return tuple(int(b) for b in rng.integers(0, 2, size=n))
+
+
+def two_call_crossover_operator(problem, mode: str):
+    """(p1, p2, rng) -> (xover(p1, p2), xover(p2, p1)), with xover the
+    family's raw crossover or its single-offspring quotient crossover."""
+    family = FAMILIES[problem.family]
+    xover = family.crossover
+    if mode == "quotient":
+        xover = family.quotient_crossover(Options(k=problem.k, size=problem.size))
+    return lambda x, y, rng: (xover(x, y, rng), xover(y, x, rng))
 
 
 def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:

@@ -14,7 +14,7 @@ from qgx.crossovers import (
 from qgx.errors import DimensionError, ParameterError
 from qgx.metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
 
-from oracles import enumerate_cycle_offspring, random_perm, random_symbols
+from oracles import enumerate_cycle_offspring, generator_random_mask, random_perm, random_symbols
 
 
 class TestMaskCrossover:
@@ -47,6 +47,15 @@ class TestMaskCrossover:
         p1, p2 = (1, 1, 1, 1), (2, 2, 2, 2)
         z = uniform_crossover(p1, p2, rng)
         assert all(c in (1, 2) for c in z)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
+    def test_random_mask_draw_matches_the_per_scalar_form(self, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(201):
+            mask = random_mask(n, rng_a)
+            assert mask == generator_random_mask(n, rng_b)
+            assert all(type(bit) is int for bit in mask)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestLineCrossover:

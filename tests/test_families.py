@@ -55,6 +55,32 @@ def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
             assert family.base_metric(x_star, y_star) == pytest.approx(qdist(x, y), abs=family.tol)
 
 
+# pairs with more than one closest representative, so a pair entry that
+# broke ties differently from `normalize` would show
+TIED_PAIRS = {
+    "grouping": [((1, 1, 2, 2, 3, 4), (1, 2, 1, 2, 4, 3)), ((1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 1, 2))],
+    "graph": [
+        (((0, 1, 0, 0, 0), (1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)),
+         ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0))),
+    ],
+    "symmetric-real": [((0.0, 0.0, 1.0, 1.0, 2.0), (1.0, 0.5, 0.5, 2.0, 0.0))],
+    "symmetric-discrete": [((1, 1, 2, 2, 3), (1, 1, 1, 3, 3)), ((1, 2, 3, 1, 2), (2, 2, 2, 3, 3))],
+    "circular": [((1, 2, 3, 4, 5, 6, 7), (2, 1, 4, 3, 6, 5, 7)), ((1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1))],
+    "sequence": [("ab", "ba"), ("aab", "abb"), ("", "acgt"), ("acgt", ""), ("", "")],
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pair_entry_equals_two_single_normalize_calls(name):
+    family = FAMILIES[name]
+    opts = family.suite
+    pairs = _pairs(family, 40, 5) + TIED_PAIRS[name]
+    pairs += [(x, x) for x, _ in pairs[:10]]
+    for x, y in pairs:
+        expected = (family.normalize(x, y, opts, None), family.normalize(y, x, opts, None))
+        assert family.normalize_pair(x, y, opts, None) == expected
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_quotient_crossover_is_raw_crossover_after_normalization(name):
     family = FAMILIES[name]

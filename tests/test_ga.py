@@ -4,7 +4,9 @@ and genotype closure under mutation."""
 import numpy as np
 import pytest
 
+from qgx import ga
 from qgx.errors import InputError, ParameterError
+from qgx.families import FAMILIES
 from qgx.ga import (
     GAConfig,
     config_from_dict,
@@ -12,8 +14,8 @@ from qgx.ga import (
     mutate,
     run_ga,
 )
-from qgx.genotypes import random_real_vector
-from qgx.graphs import random_adjacency
+from qgx.genotypes import random_real_vector, random_symbol_vector
+from qgx.graphs import EXACT_MATCH_CAP, random_adjacency
 from qgx.problems import (
     Problem,
     build_problem,
@@ -24,7 +26,7 @@ from qgx.problems import (
     symmetric_problem,
 )
 
-from oracles import adjacency
+from oracles import adjacency, two_call_crossover_operator
 
 
 def _tiny_config(**overrides):
@@ -144,6 +146,93 @@ class TestRunGa:
             quo = run_ga(problem, _tiny_config(mode="quotient", seed=seed, generations=8))
             wins += quo.best_fitness <= raw.best_fitness
         assert 0 <= wins <= 5
+
+
+def _graph_problem(nodes):
+    return Problem(name="graph-degree", family="graph",
+                   fitness=lambda a: float(sum(abs(sum(row) - 2) for row in a)),
+                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng), size=nodes)
+
+
+def _discrete_problem():
+    return Problem(name="discrete-count", family="symmetric-discrete",
+                   fitness=lambda g: float(sum(v == 1 for v in g)),
+                   initializer=lambda rng: random_symbol_vector(8, 3, rng), k=3, size=8)
+
+
+# one problem per family; graphs both at EXACT_MATCH_CAP (exact matching)
+# and above it (the heuristic matcher, which draws from the crossover stream)
+STREAM_PROBLEMS = {
+    "grouping": lambda: partitioning_problem(nodes=12, groups=3, edge_prob=0.25, instance_seed=1),
+    "circular": lambda: random_tsp_problem(cities=9, instance_seed=3),
+    "symmetric-real": lambda: symmetric_problem("sorted_poly", length=5),
+    "symmetric-discrete": _discrete_problem,
+    "sequence": lambda: sequence_problem("acgttagcat"),
+    "graph-exact": lambda: _graph_problem(EXACT_MATCH_CAP),
+    "graph-heuristic": lambda: _graph_problem(EXACT_MATCH_CAP + 1),
+}
+
+
+def _run_recording_streams(problem, config, monkeypatch):
+    """run_ga's result and the final state of its four random streams."""
+    streams = []
+    make = np.random.default_rng
+
+    def recording(seed):
+        streams.append(make(seed))
+        return streams[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        result = run_ga(problem, config)
+    assert len(streams) == 4
+    return result, [s.bit_generator.state for s in streams]
+
+
+class TestPairCrossoverStep:
+    def test_families_cover_the_registry(self):
+        assert {problem().family for problem in STREAM_PROBLEMS.values()} == set(FAMILIES)
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    @pytest.mark.parametrize("name", list(STREAM_PROBLEMS))
+    def test_same_stats_and_stream_states_as_the_two_call_path(self, name, mode, monkeypatch):
+        # the pair step normalizes both orders before crossing; exact
+        # normalizers draw nothing, so every draw and result stays that of
+        # normalize, cross, normalize, cross
+        problem = STREAM_PROBLEMS[name]()
+        # graph matching at 8-9 nodes is slow, so those runs are shorter
+        size = dict(population=4, generations=3) if name.startswith("graph") else {}
+        config = _tiny_config(mode=mode, mutation_rate=0.2, seed=5, **size)
+        result, states = _run_recording_streams(problem, config, monkeypatch)
+        monkeypatch.setattr(ga, "crossover_operator", two_call_crossover_operator)
+        expected, expected_states = _run_recording_streams(problem, config, monkeypatch)
+        assert result.stats == expected.stats
+        assert result.best_genotype == expected.best_genotype
+        assert states == expected_states
+
+    @pytest.mark.parametrize("rate,pairs_per_generation", [(1.0, 4), (0.0, 0)])
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    def test_one_operator_per_run_one_call_per_crossed_pair(self, mode, rate, pairs_per_generation,
+                                                            monkeypatch):
+        # a tracer that wraps crossover_operator's result times the whole
+        # crossover step of every crossed pair
+        made, calls = [], []
+
+        def counting_operator(problem, mode):
+            made.append(mode)
+            operator = crossover_operator(problem, mode)
+
+            def counted(x, y, rng):
+                calls.append((x, y))
+                return operator(x, y, rng)
+
+            return counted
+
+        monkeypatch.setattr(ga, "crossover_operator", counting_operator)
+        config = _tiny_config(mode=mode, crossover_rate=rate)
+        run_ga(sequence_problem("acgtta"), config)
+        assert made == [mode]
+        assert len(calls) == config.generations * pairs_per_generation
 
 
 class TestMutate:

@@ -12,6 +12,7 @@ from qgx.sequences import (
     check_sequence,
     edit_distance,
     optimal_align,
+    optimal_align_both,
     tail_padded_crossover,
     unstretch,
 )
@@ -159,6 +160,49 @@ class TestOptimalAlign:
         alignment = optimal_align(s, t)
         assert (alignment.left, alignment.right) == dp_optimal_align(s, t)
         assert hamming_distance(alignment.left, alignment.right) == dp_edit_distance(s, t)
+
+    @given(text_pairs())
+    def test_both_orders_from_one_pass(self, pair):
+        s, t = pair
+        forward, reverse = optimal_align_both(s, t)
+        assert (forward.left, forward.right) == dp_optimal_align(s, t)
+        assert (reverse.left, reverse.right) == dp_optimal_align(t, s)
+
+    @given(close_pairs())
+    def test_both_orders_of_close_pairs(self, pair):
+        s, t = pair
+        assert optimal_align_both(s, t) == (optimal_align(s, t), optimal_align(t, s))
+
+    @pytest.mark.parametrize("alphabet", ["acgt", "ab", "a"])
+    def test_both_orders_match_full_table_backtraces(self, alphabet):
+        # lengths 0-120, every other pair a copy of the first string after
+        # up to 20 random edits, plus the empty string on either side
+        rng = np.random.default_rng(len(alphabet))
+        pairs = [("", ""), ("", alphabet * 3), (alphabet * 3, "")]
+        for i in range(24):
+            s = random_string(rng, 120, alphabet)
+            if i % 2:
+                t = list(s)
+                for _ in range(int(rng.integers(0, 21))):
+                    pos = int(rng.integers(0, len(t) + 1))
+                    letter = alphabet[int(rng.integers(0, len(alphabet)))]
+                    if pos < len(t) and rng.random() < 0.5:
+                        del t[pos]
+                    else:
+                        t.insert(pos, letter)
+                t = "".join(t)
+            else:
+                t = random_string(rng, 120, alphabet)
+            pairs.append((s, t))
+        for s, t in pairs:
+            forward, reverse = optimal_align_both(s, t)
+            assert (forward.left, forward.right) == dp_optimal_align(s, t)
+            assert (reverse.left, reverse.right) == dp_optimal_align(t, s)
+            assert reverse == optimal_align(t, s)
+
+    def test_both_orders_check_their_inputs(self):
+        with pytest.raises(InputError):
+            optimal_align_both("ab", "a-b")
 
     def test_mismatches_equal_edit_distance(self):
         rng = np.random.default_rng(0)
