@@ -2,9 +2,9 @@
 
 Metric spaces over genotype representations, finite isometry-group
 quotients modeling genotype-phenotype maps, normalization operators,
-the induced quotient crossovers they define for six representation
-families (one registry, `families.FAMILIES`), and a small GA harness
-for raw-vs-quotient comparisons.
+the quotient crossover each one induces (`Family.quotient_crossover`)
+for six representation families (one registry, `families.FAMILIES`),
+and a small GA harness for raw-vs-quotient comparisons.
 """
 
 from .assignment import hungarian
@@ -35,7 +35,7 @@ from .genotypes import (
 )
 from .metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
 from .problems import Problem, build_problem
-from .quotient import GroupAction, induced_quotient_crossover, orbit
+from .quotient import GroupAction, orbit
 from .verify import (
     VerificationReport,
     verify_equivalence,
@@ -67,7 +67,6 @@ __all__ = [
     "hamming_distance",
     "hungarian",
     "in_segment",
-    "induced_quotient_crossover",
     "line_crossover",
     "mask_crossover",
     "mutate",

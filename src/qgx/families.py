@@ -4,22 +4,19 @@ A `Family` holds everything the GA, the CLI and the verify suites need
 from one representation: its text form, a suite-scale sampler, the base
 metrics, the isometry group, the normalizer, the quotient distance, the
 raw (base) crossover and mutation. Quotient mode is not written per
-family: `Family.quotient_crossover` builds it from the normalizer and
-the raw crossover with `quotient.induced_quotient_crossover`. Every
-normalizer returns the pair (x*, y*) moved to close representatives of
-their classes, and nothing else: a group family keeps the first parent
-and moves the second, and the sequence family, whose stretch relation
-is not a group action, aligns both parents, so its quotient crossover
-is `tail_padded_crossover` run on the two aligned rows. The distance
+family: `Family.quotient_crossover` is the one quotient crossover step,
+the normalizer followed by the raw crossover. Every normalizer returns
+the pair (x*, y*) moved to close representatives of their classes, and
+nothing else: a group family keeps the first parent and moves the
+second, and the sequence family, whose stretch relation is not a group
+action, aligns both parents, so its quotient crossover is
+`tail_padded_crossover` run on the two aligned rows. The distance
 between the classes is `Family.quotient_distance`, the one place each
 family defines it; when the normalizer is exact, it equals the base
 distance of (x*, y*), the Hamming distance of the two rows for
-sequences. The GA normalizes per parent pair: `Family.normalize_pair`
-returns both orders' moved pairs, by two `normalize` calls unless the
-family serves both from one piece of work (`normalize_both`; the
-sequence family's alignment does), and `ga.crossover_operator` crosses
-them; a heuristic normalizer keeps the interleaved normalize, cross,
-normalize, cross order, because it draws from the crossover stream.
+sequences. The GA runs `quotient_crossover` on both orders of a parent
+pair, except where a family serves both orders from one piece of work
+(`normalize_both`; the sequence family's alignment forward pass does).
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -28,7 +25,6 @@ import time), so replacing a module attribute reaches every caller.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -45,7 +41,7 @@ from .genotypes import (
     symbol_vector,
 )
 from .metrics import Metric, euclidean_distance, hamming_distance
-from .quotient import GroupAction, induced_quotient_crossover
+from .quotient import GroupAction
 
 REAL_TOL = 1e-9
 SEQUENCE_ALPHABET = "acgt"
@@ -93,7 +89,7 @@ class Family:
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)) from one piece of
-    # shared work; None makes the two calls
+    # shared work, for an exact normalizer; None when there is none to share
     normalize_both: Callable | None = None
 
     @property
@@ -107,21 +103,26 @@ class Family:
     def sampler(self) -> Callable[[np.random.Generator], Any]:
         return lambda rng: self.sample(rng, self.suite)
 
-    def normalize_pair(self, x, y, opts: Options, rng) -> tuple[tuple, tuple]:
-        """Both orders of a parent pair: (normalize(x, y), normalize(y, x)).
-
-        Only exact normalizers come here (see `ga.crossover_operator`), so
-        the two results do not depend on the order they are computed in.
-        """
-        if self.normalize_both is not None:
-            return self.normalize_both(x, y, opts, rng)
-        return self.normalize(x, y, opts, rng), self.normalize(y, x, opts, rng)
-
     def quotient_crossover(self, opts: Options) -> Callable:
-        """(x, y, rng) -> offspring of the quotient crossover."""
-        return induced_quotient_crossover(
-            lambda x, y, rng: self.normalize(x, y, opts, rng), self.crossover, self.exact(opts)
-        )
+        """(x, y, rng) -> the offspring of the quotient crossover: the raw
+        crossover run on the pair (x*, y*) that `normalize` moves x and y to.
+
+        When the normalizer is exact, the base distance of (x*, y*) is the
+        quotient distance and the offspring stays in the quotient segment;
+        a heuristic normalizer only upper-bounds it. An exact normalizer
+        draws no randomness and returns the pair itself when y == x, so
+        equal parents skip it. A heuristic one may draw from rng and always
+        runs, which keeps the stream's draws independent of whether the
+        parents happen to be equal.
+        """
+        exact = self.exact(opts)
+
+        def offspring(x, y, rng):
+            if not (exact and x == y):
+                x, y = self.normalize(x, y, opts, rng)
+            return self.crossover(x, y, rng)
+
+        return offspring
 
 
 # ---------------------------------------------------------------- text forms
@@ -182,9 +183,6 @@ def _graph_distance(opts, rng) -> Metric:
     if _graph_exact(opts):
         return graphs.make_quotient_hamming()
     return lambda x, y: _graph_match(x, y, opts, rng).dist
-
-
-_ROWS = operator.attrgetter("left", "right")  # an alignment as the moved pair
 
 
 def _no_group(opts):
@@ -342,8 +340,8 @@ _FAMILIES = (
         # compares stretched (equal-length) genotypes
         metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
         action=_no_group,
-        normalize=lambda x, y, o, rng: _ROWS(sequences.optimal_align(x, y)),
-        normalize_both=lambda x, y, o, rng: tuple(map(_ROWS, sequences.optimal_align_both(x, y))),
+        normalize=lambda x, y, o, rng: sequences.optimal_align(x, y),
+        normalize_both=lambda x, y, o, rng: sequences.optimal_align_both(x, y),
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,

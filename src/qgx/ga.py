@@ -91,15 +91,15 @@ class RunResult:
 def crossover_operator(problem: Problem, mode: str) -> Callable:
     """The crossover step of one parent pair: (p1, p2, rng) -> the two
     children, of (p1, p2) and of (p2, p1), by the family's base crossover
-    (raw) or its quotient version.
+    (raw) or `Family.quotient_crossover`, the path the CLI and the suites
+    run.
 
-    An exact normalizer draws no randomness, so quotient mode normalizes
-    the pair in both orders first (`Family.normalize_pair`, which a
-    family may serve from one piece of work) and then runs the base
-    crossover twice; the rng draws are those of normalize, cross,
-    normalize, cross. Equal parents skip normalization, as in
-    `quotient.induced_quotient_crossover`. A heuristic normalizer draws
-    from rng, so it keeps that interleaved order.
+    A family whose exact normalizer serves both orders from one piece of
+    work (`Family.normalize_both`, the sequence family's alignment) gets
+    both moved pairs first and then runs the base crossover twice, with
+    the same skip of equal parents. An exact normalizer draws no
+    randomness, so the rng draws are those of normalize, cross,
+    normalize, cross.
     """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
@@ -108,12 +108,12 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     family = FAMILIES[problem.family]
     opts = Options(k=problem.k, size=problem.size)
     cross = family.crossover
-    if mode == "quotient" and family.exact(opts):
+    if mode == "quotient" and family.normalize_both is not None and family.exact(opts):
 
         def both_children(x, y, rng):
             if x == y:
                 return cross(x, y, rng), cross(y, x, rng)
-            (x1, y1), (y2, x2) = family.normalize_pair(x, y, opts, rng)
+            (x1, y1), (y2, x2) = family.normalize_both(x, y, opts, rng)
             return cross(x1, y1, rng), cross(y2, x2, rng)
 
         return both_children
@@ -169,14 +169,14 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     stats = []
     for gen in range(1, config.generations + 1):
         offspring = []
-        while len(offspring) < size:
+        for _ in range(size // 2):
             p1 = population[_tournament(fitness, config.tournament, rng_sel)]
             p2 = population[_tournament(fitness, config.tournament, rng_sel)]
             if rng_cx.random() < config.crossover_rate:
                 children = xover(p1, p2, rng_cx)
             else:
                 children = (p1, p2)
-            offspring.extend(children[: size - len(offspring)])
+            offspring.extend(children)
         offspring = [
             mutate(c, problem.family, config.mutation_rate, rng_mut, **mut_kwargs)
             for c in offspring

@@ -8,14 +8,9 @@ over one orbit already gives the two-sided minimum, so normalization
 realizes the quotient distance. A base geometric crossover applied
 after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
-the one quotient mode every family runs (see `families`). Sequences,
-which have no group, take the same path: alignment normalizes the pair
-by stretching both parents. The CLI and the verify suites run it one
-offspring at a time through `induced_quotient_crossover`; the GA, which
-crosses each pair in both orders, normalizes the pair in both orders
-first and then runs the base crossover twice (`ga.crossover_operator`),
-except under a heuristic normalizer, which keeps the interleaved
-normalize, cross, normalize, cross order.
+the one quotient mode every family runs (`families.Family.quotient_crossover`).
+Sequences, which have no group, take the same path: alignment normalizes
+the pair by stretching both parents.
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.
@@ -27,8 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import InputError, OrbitTooLargeError
 from .genotypes import Permutation, identity_permutation, invert_permutation
@@ -95,32 +88,3 @@ def orbit(x: Point, action: GroupAction) -> frozenset:
         )
     return frozenset(action.apply(g, x) for g in action.elements)
 
-
-def induced_quotient_crossover(
-    normalize: Callable[[Point, Point, np.random.Generator], tuple],
-    crossover: Callable[[Point, Point, np.random.Generator], Point],
-    exact: bool = True,
-) -> Callable[[Point, Point, np.random.Generator], Point]:
-    """The quotient crossover induced by a base crossover.
-
-    The returned operator normalizes the pair, then runs the base
-    geometric crossover on (x*, y*). `normalize(x, y, rng)` returns
-    the pair (x*, y*): x* in the class of x and y* in the class of y,
-    as close to each other as the normalizer finds. A group normalizer
-    returns x itself as x*; sequence alignment stretches both parents.
-    When the normalizer is exact, the base distance of the pair is the
-    quotient distance and the offspring stays in the quotient segment;
-    a heuristic normalizer only upper-bounds it.
-
-    An exact normalizer draws no randomness and returns the pair itself
-    when y == x, so equal parents skip it. A heuristic one may draw from
-    rng and always runs, which keeps the stream's draws independent of
-    whether the parents happen to be equal.
-    """
-
-    def offspring(x: Point, y: Point, rng: np.random.Generator) -> Point:
-        if not (exact and x == y):
-            x, y = normalize(x, y, rng)
-        return crossover(x, y, rng)
-
-    return offspring

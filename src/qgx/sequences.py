@@ -24,7 +24,7 @@ it returns exactly `optimal_align(t, s)`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,18 +88,16 @@ def edit_distance(s: str, t: str) -> int:
     return len(t) + pv.bit_count() - mv.bit_count()
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """Two equal-length stretchings with no double-gap column."""
+class Alignment(NamedTuple):
+    """Two equal-length stretchings with no double-gap column: the pair
+    (x*, y*) that the sequence family's normalizer moves its parents to.
+
+    Alignments are built only from `_backtrace`'s rows, which hold both
+    properties by construction, so nothing re-checks them.
+    """
 
     left: str
     right: str
-
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise InputError("aligned strings must have equal length")
-        if (GAP, GAP) in zip(self.left, self.right):
-            raise InputError("alignment contains a double-gap column")
 
 
 def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:

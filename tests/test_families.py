@@ -9,6 +9,8 @@ from qgx.errors import InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
 
+from oracles import two_call_crossover_operator
+
 NAMES = list(FAMILIES)
 
 
@@ -55,8 +57,8 @@ def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
             assert family.base_metric(x_star, y_star) == pytest.approx(qdist(x, y), abs=family.tol)
 
 
-# pairs with more than one closest representative, so a pair entry that
-# broke ties differently from `normalize` would show
+# pairs with more than one closest representative, so a GA step or a
+# `normalize_both` that broke ties differently from `normalize` would show
 TIED_PAIRS = {
     "grouping": [((1, 1, 2, 2, 3, 4), (1, 2, 1, 2, 4, 3)), ((1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 1, 2))],
     "graph": [
@@ -70,15 +72,33 @@ TIED_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_pair_entry_equals_two_single_normalize_calls(name):
+@pytest.mark.parametrize("name", [name for name in NAMES if FAMILIES[name].normalize_both])
+def test_normalize_both_equals_two_single_normalize_calls(name):
     family = FAMILIES[name]
     opts = family.suite
     pairs = _pairs(family, 40, 5) + TIED_PAIRS[name]
     pairs += [(x, x) for x, _ in pairs[:10]]
     for x, y in pairs:
         expected = (family.normalize(x, y, opts, None), family.normalize(y, x, opts, None))
-        assert family.normalize_pair(x, y, opts, None) == expected
+        assert family.normalize_both(x, y, opts, None) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_ga_pair_step_equals_two_quotient_crossover_calls(name):
+    # test_ga.py compares whole GA runs; this adds tied and equal parents,
+    # where a shared pass or a skip that left the CLI's path would show
+    family = FAMILIES[name]
+    opts = family.suite
+    problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None,
+                      k=opts.k, size=opts.size)
+    step = ga.crossover_operator(problem, "quotient")
+    expected = two_call_crossover_operator(problem, "quotient")
+    pairs = _pairs(family, 20, 6) + TIED_PAIRS[name]
+    pairs += [(x, x) for x, _ in pairs[:5]]
+    for i, (x, y) in enumerate(pairs):
+        rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
+        assert step(x, y, rng_a) == expected(x, y, rng_b)
+        assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("name", NAMES)

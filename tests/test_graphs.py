@@ -1,5 +1,6 @@
 """Graph matching, conjugation action, and the graph quotient crossover."""
 
+import dataclasses
 import itertools
 import math
 
@@ -300,22 +301,19 @@ class TestIqCrossover:
             adjacency(uniform_edge_crossover(a, b, rng))
 
     def test_matcher_normalizer_through_generic_layer(self):
-        from qgx.quotient import induced_quotient_crossover
-
         rng = np.random.default_rng(17)
         family = FAMILIES["graph"]
-        assert family.exact(Options(size=5))
-        norm = lambda x, y, r: family.normalize(x, y, Options(size=5), r)
+        opts = Options(size=5)
+        assert family.exact(opts)
+        xover = dataclasses.replace(family, crossover=uniform_edge_crossover).quotient_crossover(opts)
         qdist = make_quotient_hamming()
         for _ in range(30):
             a = random_adjacency(5, 0.5, rng)
             b = random_adjacency(5, 0.5, rng)
-            a_star, b_star = norm(a, b, rng)
+            a_star, b_star = family.normalize(a, b, opts, rng)
             assert a_star == a
             assert matrix_hamming(a_star, b_star) == qdist(a, b)
-            child = induced_quotient_crossover(
-                norm, lambda x, y, r: uniform_edge_crossover(x, y, r)
-            )(a, b, rng)
+            child = xover(a, b, rng)
             assert qdist(a, child) + qdist(child, b) == qdist(a, b)
 
 

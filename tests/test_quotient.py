@@ -1,16 +1,19 @@
 """Generic quotient framework: orbits, quotient distance, normalization,
 induced crossover, segment membership."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qgx.circular import shift, shift_action
 from qgx.crossovers import mask_crossover, random_mask
 from qgx.errors import InputError, OrbitTooLargeError
+from qgx.families import FAMILIES, Options
 from qgx.graphs import conjugation_action
 from qgx.grouping import relabel, relabeling_action
 from qgx.metrics import hamming_distance, in_segment
-from qgx.quotient import DEFAULT_ORBIT_CAP, GroupAction, induced_quotient_crossover, orbit
+from qgx.quotient import DEFAULT_ORBIT_CAP, GroupAction, orbit
 from qgx.symmetric import coordinate_action
 
 from oracles import (
@@ -26,8 +29,18 @@ FIG6_X, FIG6_Y = (2, 4, 5, 1, 6, 3), (4, 6, 1, 5, 3, 2)
 
 
 def enumeration_normalizer(action, metric):
-    """Exact normalization by orbit enumeration, in the (x*, y*) form."""
-    return lambda x, y, rng: (x, normalize_by_enumeration(x, y, action, metric)[0])
+    """Exact normalization by orbit enumeration, in the (x*, y*) form of a
+    `Family.normalize` entry."""
+    return lambda x, y, opts, rng: (x, normalize_by_enumeration(x, y, action, metric)[0])
+
+
+def induced_crossover(normalize, crossover, exact=True):
+    """`Family.quotient_crossover` with the normalizer, the base crossover
+    and the exactness swapped in."""
+    family = dataclasses.replace(
+        FAMILIES["grouping"], normalize=normalize, crossover=crossover, exact=lambda opts: exact
+    )
+    return family.quotient_crossover(Options())
 
 
 class TestOrbit:
@@ -154,14 +167,14 @@ class TestInducedCrossover:
 
     def test_all_first_mask_returns_first_parent(self):
         norm = enumeration_normalizer(relabeling_action(FIG3_K), hamming_distance)
-        child = induced_quotient_crossover(norm, self._masked((0, 0, 0, 0)))(
+        child = induced_crossover(norm, self._masked((0, 0, 0, 0)))(
             FIG3_X, FIG3_Y, np.random.default_rng(0)
         )
         assert child == FIG3_X
 
     def test_mask_on_normalized_parent(self):
         norm = enumeration_normalizer(relabeling_action(FIG3_K), hamming_distance)
-        child = induced_quotient_crossover(norm, self._masked((1, 1, 0, 0)))(
+        child = induced_crossover(norm, self._masked((1, 1, 0, 0)))(
             FIG3_X, FIG3_Y, np.random.default_rng(0)
         )
         assert child == (3, 2, 3, 1)
@@ -174,7 +187,7 @@ class TestInducedCrossover:
         rng = np.random.default_rng(5)
         qd = lambda a, b: quotient_distance(a, b, action, hamming_distance)
         for _ in range(10):
-            child = induced_quotient_crossover(
+            child = induced_crossover(
                 norm, lambda a, b, r: mask_crossover(a, b, random_mask(4, r))
             )(x, y, rng)
             assert qd(child, x) == 0
@@ -188,7 +201,7 @@ class TestInducedCrossover:
         for _ in range(200):
             x = random_symbols(rng, 6, 3)
             y = random_symbols(rng, 6, 3)
-            child = induced_quotient_crossover(
+            child = induced_crossover(
                 norm, lambda a, b, r: mask_crossover(a, b, random_mask(6, r))
             )(x, y, rng)
             assert in_segment(x, child, y, qd)
@@ -197,11 +210,11 @@ class TestInducedCrossover:
     def test_exact_normalizer_skipped_for_equal_parents(self):
         calls = []
 
-        def norm(x, y, rng):
+        def norm(x, y, opts, rng):
             calls.append((x, y))
             return x, y
 
-        xover = induced_quotient_crossover(norm, lambda a, b, r: b)
+        xover = induced_crossover(norm, lambda a, b, r: b)
         assert xover((1, 2), (1, 2), None) == (1, 2)
         assert calls == []
         xover((1, 2), (2, 1), None)
@@ -212,11 +225,11 @@ class TestInducedCrossover:
         # shift the stream for every later draw
         rng = np.random.default_rng(3)
 
-        def norm(x, y, r):
+        def norm(x, y, opts, r):
             r.integers(0, 9)  # one draw, as a heuristic matcher makes
             return x, y
 
-        xover = induced_quotient_crossover(norm, lambda a, b, r: b, exact=False)
+        xover = induced_crossover(norm, lambda a, b, r: b, exact=False)
         xover((1, 2), (1, 2), rng)
         expected = np.random.default_rng(3)
         expected.integers(0, 9)

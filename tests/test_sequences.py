@@ -8,7 +8,7 @@ from qgx.errors import InputError
 from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance
 from qgx.sequences import (
-    Alignment,
+    GAP,
     check_sequence,
     edit_distance,
     optimal_align,
@@ -59,6 +59,22 @@ def close_pairs(draw):
             else:
                 t[pos] = draw(letter)
     return s, "".join(t)
+
+
+def _assert_valid_moved_pairs(s, t):
+    """`Alignment` checks nothing, so check here that every alignment from
+    `optimal_align` and from both halves of `optimal_align_both` has
+    equal-length rows and no double-gap column, unstretches back to its
+    inputs, and unpacks as (left, right), the sequence family's moved pair."""
+    normalize = FAMILIES["sequence"].normalize
+    forward, reverse = optimal_align_both(s, t)
+    for (a, b), alignment in (((s, t), optimal_align(s, t)), ((s, t), forward), ((t, s), reverse)):
+        left, right = alignment
+        assert (left, right) == (alignment.left, alignment.right)
+        assert len(left) == len(right)
+        assert (GAP, GAP) not in zip(left, right)
+        assert (unstretch(left), unstretch(right)) == (a, b)
+        assert (left, right) == normalize(a, b, Options(), None)
 
 
 class _AllFirstRng:
@@ -236,13 +252,13 @@ class TestOptimalAlign:
                 stretched.append("".join(out))
             assert hamming_distance(stretched[0], stretched[1]) >= edit_distance(s, t)
 
-    def test_double_gap_columns_rejected(self):
-        with pytest.raises(InputError, match="double-gap column"):
-            Alignment("a-b", "a-c")
+    @given(text_pairs())
+    def test_alignments_are_valid_moved_pairs(self, pair):
+        _assert_valid_moved_pairs(*pair)
 
-    def test_unequal_rows_rejected(self):
-        with pytest.raises(InputError, match="equal length"):
-            Alignment("ab", "a")
+    @given(close_pairs())
+    def test_alignments_of_close_pairs_are_valid_moved_pairs(self, pair):
+        _assert_valid_moved_pairs(*pair)
 
 
 class TestHomologousCrossover:
