@@ -98,13 +98,30 @@ def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> P
     return shift(y, _best_shift(x, y, base)[0])
 
 
-def tour_length(tour: Permutation, cities: tuple[tuple[float, float], ...]) -> float:
-    """Cyclic Euclidean length of the tour over the city coordinates."""
-    if len(tour) != len(cities):
-        raise DimensionError(f"tour over {len(tour)} cities, instance has {len(cities)}")
+def leg_lengths(cities: tuple[tuple[float, float], ...]) -> tuple[tuple[float, ...], ...]:
+    """Table of Euclidean leg lengths: entry [a-1][b-1] is city a to city b.
+
+    Each entry is `((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5`, so a tour
+    summed from the table gets the same float as one summed from the
+    coordinates leg by leg.
+    """
+    return tuple(
+        tuple(((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 for bx, by in cities)
+        for ax, ay in cities
+    )
+
+
+def tour_length(tour: Permutation, legs: tuple[tuple[float, ...], ...]) -> float:
+    """Cyclic length of the tour over a `leg_lengths` table.
+
+    The legs are added left to right, (tour[0], tour[1]) first and the
+    closing leg (tour[-1], tour[0]) last, in an explicit `+=` loop:
+    `sum()` of floats is compensated from Python 3.12 on, which would
+    change the last bits and with them the GA's replay bytes.
+    """
+    if len(tour) != len(legs):
+        raise DimensionError(f"tour over {len(tour)} cities, instance has {len(legs)}")
     total = 0.0
-    for i in range(len(tour)):
-        ax, ay = cities[tour[i] - 1]
-        bx, by = cities[tour[(i + 1) % len(tour)] - 1]
-        total += ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
+    for a, b in zip(tour, tour[1:] + tour[:1]):
+        total += legs[a - 1][b - 1]
     return total

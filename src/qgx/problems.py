@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .circular import tour_length
+from .circular import leg_lengths, tour_length
 from .errors import InputError
 from .families import FAMILIES, SEQUENCE_ALPHABET
 from .genotypes import (
@@ -130,11 +130,11 @@ def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
     _check_count("cities", cities, 3)
     _check_count("instance_seed", instance_seed, 0)
     rng = np.random.default_rng(instance_seed)
-    coords = tuple((float(x), float(y)) for x, y in rng.random((cities, 2)))
+    legs = leg_lengths(tuple((float(x), float(y)) for x, y in rng.random((cities, 2))))
     return Problem(
         name=f"tsp(n={cities})",
         family="circular",
-        fitness=lambda tour: tour_length(tour, coords),
+        fitness=lambda tour: tour_length(tour, legs),
         initializer=lambda rng: random_permutation(cities, rng),
         size=cities,
     )

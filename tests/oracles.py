@@ -17,7 +17,11 @@ that replaced them. `generator_random_mask` is the former per-scalar
 mask draw, kept the same way. `two_call_crossover_operator` is the GA's
 former crossover step, which ran the single-offspring operator once per
 order and normalized each time; it pins the rng draws and the results of
-the pair-level step that replaced it.
+the pair-level step that replaced it. `per_cycle_coin_cycle_crossover`
+is the former cycle crossover, one scalar coin draw per cycle, kept to
+pin the draws of the sized draw that replaced it, and
+`coordinate_tour_length` is the former tour length from coordinates,
+kept to pin the leg-table sum bit for bit.
 """
 
 from __future__ import annotations
@@ -375,8 +379,8 @@ def dp_optimal_align(s: str, t: str) -> tuple[str, str]:
     return "".join(reversed(left)), "".join(reversed(right))
 
 
-def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
-    """All cycle-crossover offspring over every per-cycle coin outcome."""
+def _position_cycles(p1: tuple, p2: tuple) -> list[list[int]]:
+    """The cycles of positions i -> (where p1 holds p2[i]), by smallest start."""
     n = len(p1)
     where_p1 = {v: i for i, v in enumerate(p1)}
     seen = [False] * n
@@ -391,6 +395,12 @@ def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
             cycle.append(i)
             i = where_p1[p2[i]]
         cycles.append(cycle)
+    return cycles
+
+
+def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
+    """All cycle-crossover offspring over every per-cycle coin outcome."""
+    cycles = _position_cycles(p1, p2)
     offspring = set()
     for coins in itertools.product((0, 1), repeat=len(cycles)):
         child = list(p1)
@@ -400,6 +410,26 @@ def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
                     child[i] = p2[i]
         offspring.add(tuple(child))
     return offspring
+
+
+def per_cycle_coin_cycle_crossover(p1: tuple, p2: tuple, rng: np.random.Generator) -> tuple:
+    """Cycle crossover with one scalar coin draw per cycle, in cycle order."""
+    child = list(p1)
+    for cycle in _position_cycles(p1, p2):
+        if rng.integers(0, 2) == 1:
+            for i in cycle:
+                child[i] = p2[i]
+    return tuple(child)
+
+
+def coordinate_tour_length(tour: tuple, cities) -> float:
+    """Cyclic Euclidean tour length computed leg by leg from the coordinates."""
+    total = 0.0
+    for i in range(len(tour)):
+        ax, ay = cities[tour[i] - 1]
+        bx, by = cities[tour[(i + 1) % len(tour)] - 1]
+        total += ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
+    return total
 
 
 def random_symbols(rng: np.random.Generator, n: int, k: int) -> tuple:

@@ -1,11 +1,14 @@
 """Rotation quotients of permutations, the position-independent cycle
 crossover, and tour length."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qgx.circular import (
     BASE_METRICS,
+    leg_lengths,
     normalize,
     quotient_distance,
     shift,
@@ -14,11 +17,14 @@ from qgx.circular import (
 )
 from qgx.errors import DimensionError, ParameterError
 from qgx.families import FAMILIES, Options
+from qgx.ga import GAConfig, run_ga
 from qgx.metrics import hamming_distance, swap_distance
+from qgx.problems import random_tsp_problem
 from qgx.verify import verify_equivalence, verify_isometry
 
 from oracles import (
     bfs_swap_distance,
+    coordinate_tour_length,
     enumerate_cycle_offspring,
     random_perm,
     random_symbols,
@@ -232,11 +238,50 @@ class TestTourLength:
     UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
     def test_unit_square_length(self):
-        assert tour_length((1, 2, 3, 4), self.UNIT_SQUARE) == pytest.approx(4.0, abs=1e-12)
+        assert tour_length((1, 2, 3, 4), leg_lengths(self.UNIT_SQUARE)) == pytest.approx(
+            4.0, abs=1e-12
+        )
 
     def test_rotation_invariant_fitness(self):
-        tour = (1, 2, 3, 4)
+        tour, legs = (1, 2, 3, 4), leg_lengths(self.UNIT_SQUARE)
         for k in range(4):
-            assert tour_length(shift(tour, k), self.UNIT_SQUARE) == pytest.approx(
-                tour_length(tour, self.UNIT_SQUARE), abs=1e-12
+            assert tour_length(shift(tour, k), legs) == pytest.approx(
+                tour_length(tour, legs), abs=1e-12
             )
+
+    def test_size_mismatch_message(self):
+        with pytest.raises(DimensionError, match=r"^tour over 3 cities, instance has 4$"):
+            tour_length((1, 2, 3), leg_lengths(self.UNIT_SQUARE))
+
+    def test_table_sum_equals_coordinate_sum_exactly(self):
+        rng = np.random.default_rng(5)
+        for n in range(3, 201):
+            cities = tuple((float(x), float(y)) for x, y in rng.random((n, 2)))
+            legs = leg_lengths(cities)
+            for _ in range(3):
+                tour = random_perm(rng, n)
+                assert tour_length(tour, legs) == coordinate_tour_length(tour, cities)
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    def test_every_ga_tsp_tour_equals_coordinate_sum_exactly(self, mode):
+        """The fitness of every tour a seeded TSP GA evaluates is the
+        coordinate sum bit for bit, so replays keep their bytes."""
+        cities, instance_seed = 100, 1
+        problem = random_tsp_problem(cities, instance_seed)
+        coords = tuple(
+            (float(x), float(y))
+            for x, y in np.random.default_rng(instance_seed).random((cities, 2))
+        )
+        evaluated = []
+
+        def fitness(tour):
+            evaluated.append(tour)
+            return problem.fitness(tour)
+
+        run_ga(
+            dataclasses.replace(problem, fitness=fitness),
+            GAConfig(population=30, generations=30, mode=mode, seed=1),
+        )
+        assert len(evaluated) > 30 * 30
+        for tour in evaluated:
+            assert problem.fitness(tour) == coordinate_tour_length(tour, coords)

@@ -11,10 +11,16 @@ from qgx.crossovers import (
     random_mask,
     uniform_crossover,
 )
-from qgx.errors import DimensionError, ParameterError
+from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
 
-from oracles import enumerate_cycle_offspring, generator_random_mask, random_perm, random_symbols
+from oracles import (
+    enumerate_cycle_offspring,
+    generator_random_mask,
+    per_cycle_coin_cycle_crossover,
+    random_perm,
+    random_symbols,
+)
 
 
 class TestMaskCrossover:
@@ -104,6 +110,60 @@ class TestCycleCrossover:
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             cycle_crossover((1, 2), (1, 2, 3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [
+            ((1, 2, 3), (1, 2, 4)),  # a value of p2 missing from p1
+            ((1, 1, 2), (1, 2, 2)),  # repeated values
+            ((1, 2, 3), (1, 1, 2)),  # repeats in p2 only
+            ((1, 1, 3), (1, 2, 3)),  # repeats in p1 only
+        ],
+    )
+    def test_non_permutation_parents(self, p1, p2):
+        message = "^parents are not permutations of the same values$"
+        with pytest.raises(InputError, match=message):
+            pair_cycles(p1, p2)
+        with pytest.raises(InputError, match=message):
+            cycle_crossover(p1, p2, np.random.default_rng(0))
+
+    def test_rejects_exactly_the_non_permutation_pairs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            n = int(rng.integers(0, 6))
+            p1, p2 = random_symbols(rng, n, n + 1), random_symbols(rng, n, n + 1)
+            valid = len(set(p1)) == n and sorted(p1) == sorted(p2)
+            try:
+                pair_cycles(p1, p2)
+            except InputError:
+                assert not valid, (p1, p2)
+            else:
+                assert valid, (p1, p2)
+
+    @pytest.mark.parametrize("kind", ["equal", "single cycle", "random", "near equal"])
+    def test_sized_draw_matches_per_cycle_coins(self, kind):
+        """One sized coin draw gives the child and the Generator state of
+        one scalar draw per cycle. Each seed's two streams run on through
+        n = 0..120, so calls also start with a half-used 64-bit word."""
+        for seed in range(6):
+            pick = np.random.default_rng(100 + seed)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in range(121):
+                p1 = random_perm(pick, n)
+                if kind == "equal":
+                    p2 = p1
+                elif kind == "single cycle":
+                    p2 = p1[1:] + p1[:1]
+                elif kind == "random":
+                    p2 = random_perm(pick, n)
+                else:
+                    p2 = list(p1)
+                    if n >= 2:
+                        i, j = pick.choice(n, size=2, replace=False).tolist()
+                        p2[i], p2[j] = p2[j], p2[i]
+                    p2 = tuple(p2)
+                assert cycle_crossover(p1, p2, rng) == per_cycle_coin_cycle_crossover(p1, p2, ref)
+                assert rng.bit_generator.state == ref.bit_generator.state, (kind, seed, n)
 
     def test_offspring_valid_and_in_both_segments(self):
         rng = np.random.default_rng(11)
