@@ -15,6 +15,12 @@ for a permutation this is O(n). Swap distance has no such count, so it
 keeps the scan of all n rotations, with the same tie rule. The empty
 tour has one rotation, itself, at distance 0.
 
+`normalize_both` serves both orders of a GA pair from one vote pass:
+the reverse pair (y, x) votes at (n - k) mod n wherever (x, y) votes at
+k, so its normalizing step is the smallest (n - k) mod n among the
+top-voted k, which is not in general the inverse of the forward step.
+Under swap distance it scans both orders.
+
 Reversal distance is not offered: recombination along reversal
 geodesics is out of reach (sorting by reversals is NP-hard).
 """
@@ -62,6 +68,18 @@ def _base_metric(base: str):
         raise ParameterError(f"base metric must be one of {sorted(BASE_METRICS)}, got {base!r}")
 
 
+def _votes(x: Permutation, y: Permutation) -> list[int]:
+    """votes[k]: the slots where rotating y right by k matches x (n >= 1)."""
+    where = {}
+    for i, v in enumerate(x):
+        where.setdefault(v, []).append(i)
+    votes = [0] * len(x)
+    for j, v in enumerate(y):
+        for i in where.get(v, ()):
+            votes[i - j] += 1  # -n < i - j < n, so this is votes[(i - j) % n]
+    return votes
+
+
 def _best_shift(x: Permutation, y: Permutation, base: str) -> tuple[int, int]:
     """(k, dist): the smallest step k whose rotation of y is closest to x."""
     if len(x) != len(y):
@@ -71,13 +89,7 @@ def _best_shift(x: Permutation, y: Permutation, base: str) -> tuple[int, int]:
     if n == 0:
         return 0, 0
     if base == "hamming":
-        where = {}
-        for i, v in enumerate(x):
-            where.setdefault(v, []).append(i)
-        votes = [0] * n
-        for j, v in enumerate(y):
-            for i in where.get(v, ()):
-                votes[i - j] += 1  # -n < i - j < n, so this is votes[(i - j) % n]
+        votes = _votes(x, y)
         top = max(votes)
         return votes.index(top), n - top
     best_k, best_d = 0, d(x, y)
@@ -96,6 +108,21 @@ def quotient_distance(x: Permutation, y: Permutation, base: BaseMetric = "hammin
 def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> Permutation:
     """Rotation of y closest to x; smallest step count wins ties."""
     return shift(y, _best_shift(x, y, base)[0])
+
+
+def normalize_both(
+    x: Permutation, y: Permutation, base: BaseMetric = "hamming"
+) -> tuple[Permutation, Permutation]:
+    """(normalize(x, y, base), normalize(y, x, base)); under Hamming, from
+    one vote pass: the smallest top-voted step of (y, x) is 0 when step 0
+    is top-voted for (x, y), else n minus the largest top-voted step."""
+    if base != "hamming" or not x or len(x) != len(y):
+        # normalize raises on a bad pair
+        return normalize(x, y, base), normalize(y, x, base)
+    votes = _votes(x, y)
+    top = max(votes)
+    back = 0 if votes[0] == top else votes[::-1].index(top) + 1
+    return shift(y, votes.index(top)), shift(x, back)
 
 
 def leg_lengths(cities: tuple[tuple[float, float], ...]) -> tuple[tuple[float, ...], ...]:

@@ -15,8 +15,11 @@ between the classes is `Family.quotient_distance`, the one place each
 family defines it; when the normalizer is exact, it equals the base
 distance of (x*, y*), the Hamming distance of the two rows for
 sequences. The GA runs `quotient_crossover` on both orders of a parent
-pair, except where a family serves both orders from one piece of work
-(`normalize_both`; the sequence family's alignment forward pass does).
+pair, except where a family serves both orders from one piece of exact
+work (`normalize_both`): the sequence family's alignment forward pass,
+the grouping family's agreement table with its unique-optimum
+certificate, and the circular family's vote pass (Hamming base; swap
+distance scans both orders).
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -88,8 +91,9 @@ class Family:
     resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
-    # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)) from one piece of
-    # shared work, for an exact normalizer; None when there is none to share
+    # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)), ties included, from
+    # one piece of shared exact work: one alignment forward pass (sequence), one
+    # agreement table (grouping), one vote pass (circular); None elsewhere
     normalize_both: Callable | None = None
 
     @property
@@ -163,6 +167,11 @@ def _largest_label(first: str, second: str, k: int | None) -> int:
 
 def _base(opts: Options) -> str:
     return opts.metric or "hamming"
+
+
+def _group_both(x, y, y_star, x_star):
+    # a group family's `normalize_both` from the two moved second parents
+    return (x, y_star), (y, x_star)
 
 
 def _graph_exact(opts: Options) -> bool:
@@ -264,6 +273,7 @@ _FAMILIES = (
         metrics={"hamming": hamming_distance},
         action=lambda o: grouping.relabeling_action(o.k),
         normalize=lambda x, y, o, rng: (x, grouping.li_normalize(x, y, o.k)),
+        normalize_both=lambda x, y, o, rng: _group_both(x, y, *grouping.li_normalize_both(x, y, o.k)),
         quotient_distance=lambda o, rng: lambda x, y: grouping.li_distance(x, y, o.k),
         crossover=_uniform,
         mutate=_mutate_symbols,
@@ -325,6 +335,7 @@ _FAMILIES = (
         metrics=circular.BASE_METRICS,
         action=lambda o: circular.shift_action(o.size),
         normalize=lambda x, y, o, rng: (x, circular.normalize(x, y, _base(o))),
+        normalize_both=lambda x, y, o, rng: _group_both(x, y, *circular.normalize_both(x, y, _base(o))),
         quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
         crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
         mutate=_mutate_swap,

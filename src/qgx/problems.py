@@ -27,6 +27,8 @@ from .graphs import edges_of, random_adjacency
 from .sequences import GAP, check_sequence, edit_distance, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
 
+MAX_TSP_CITIES = 2000  # the leg table of 1000 cities takes 32 MB
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -126,8 +128,15 @@ def coloring_problem(
 
 
 def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
-    """Euclidean TSP on cities drawn uniformly from the unit square."""
+    """Euclidean TSP on cities drawn uniformly from the unit square.
+
+    The instance holds a cities x cities leg table, so `cities` is capped
+    at `MAX_TSP_CITIES` (about 4M table floats); a larger count raises
+    InputError before the table is built.
+    """
     _check_count("cities", cities, 3)
+    if cities > MAX_TSP_CITIES:
+        raise InputError(f"cities must be at most {MAX_TSP_CITIES}, got {cities}")
     _check_count("instance_seed", instance_seed, 0)
     rng = np.random.default_rng(instance_seed)
     legs = leg_lengths(tuple((float(x), float(y)) for x, y in rng.random((cities, 2))))

@@ -279,6 +279,17 @@ def brute_assignment(cost) -> float:
     )
 
 
+def minimum_assignments(cost) -> list[tuple]:
+    """Every assignment (rows -> columns, 1-based) of exhaustively minimum cost."""
+    n = len(cost)
+    totals = {
+        tuple(j + 1 for j in perm): sum(cost[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    }
+    low = min(totals.values())
+    return [perm for perm, total in totals.items() if total == low]
+
+
 def vectorized_hungarian(cost) -> tuple[tuple, float]:
     """The numpy-vectorized Hungarian solver the library used before its
     plain-loop one, kept as the reference for the tie rule: rows go in

@@ -10,6 +10,7 @@ from qgx.circular import (
     BASE_METRICS,
     leg_lengths,
     normalize,
+    normalize_both,
     quotient_distance,
     shift,
     shift_action,
@@ -174,6 +175,54 @@ class TestAgainstRotationScan:
         # no common value: every step has zero votes, and step 0 wins
         assert normalize((1, 1, 1), (2, 3, 2)) == (2, 3, 2)
         assert quotient_distance((1, 1, 1), (2, 3, 2)) == 3
+
+
+class TestNormalizeBoth:
+    """Both orders from one vote pass (Hamming) or two scans (swap)."""
+
+    @staticmethod
+    def _pairs(rng, sizes, count):
+        for n in sizes:
+            for i in range(count):
+                x = random_perm(rng, n)
+                y = shift(x, int(rng.integers(0, n))) if i % 3 == 0 and n else random_perm(rng, n)
+                yield x, y
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_equals_two_normalize_calls(self, base):
+        rng = np.random.default_rng(13)
+        sizes = list(range(12)) + ([100] if base == "hamming" else [])
+        for x, y in self._pairs(rng, sizes, 30):
+            assert normalize_both(x, y, base) == (normalize(x, y, base), normalize(y, x, base))
+
+    def test_repeated_values(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            x, y = random_symbols(rng, n, 3), random_symbols(rng, n, 3)
+            assert normalize_both(x, y) == (normalize(x, y), normalize(y, x))
+
+    def test_reverse_tie_rule(self):
+        # steps 1 and 3 tie for (x, y); (y, x) ties at steps 3 and 1, and
+        # takes 1, not the inverse 3 of the forward step
+        x, y = (1, 2, 3, 4), (2, 1, 4, 3)
+        assert normalize_both(x, y) == ((3, 2, 1, 4), (4, 1, 2, 3))
+        # a reversed tour of even length ties at every odd step, in both orders
+        x = (1, 2, 3, 4, 5, 6)
+        y = x[::-1]
+        assert normalize_both(x, y) == (shift(y, 1), shift(x, 1))
+
+    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
+    def test_size_mismatch(self, base):
+        for x, y in [((1, 2), (1, 2, 3)), ((), (1,)), ((1,), ())]:
+            with pytest.raises(DimensionError):
+                normalize(x, y, base)
+            with pytest.raises(DimensionError):
+                normalize_both(x, y, base)
+
+    def test_bad_base_metric(self):
+        with pytest.raises(ParameterError):
+            normalize_both((1, 2), (2, 1), "euclidean")
 
 
 class TestEmptyTour:

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgx import cli, suites
+from qgx import cli, problems, suites
 from qgx.symmetric import SYMMETRIC_FUNCTIONS
 from qgx.verify import VerificationReport
 
@@ -442,6 +442,16 @@ class TestGa:
         config = self._write_config(tmp_path, problem=problem)
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_tsp_above_the_city_cap_exit_two_before_the_leg_table(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        def no_table(cities):
+            raise AssertionError(f"leg table of {len(cities)} cities built")
+
+        monkeypatch.setattr(problems, "leg_lengths", no_table)
+        config = self._write_config(tmp_path, problem={"name": "tsp", "cities": 2001})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: cities must be at most 2000, got 2001\n"
 
     def test_unwritable_output_exit_three(self, capsys, tmp_path):
         config = self._write_config(tmp_path)

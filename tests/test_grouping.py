@@ -1,14 +1,18 @@
 """Labeling-independent distance, normalization, and crossover."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qgx import grouping
+from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
 from qgx.families import FAMILIES, Options
-from qgx.grouping import li_distance, li_normalize, relabel
+from qgx.grouping import li_distance, li_normalize, li_normalize_both, relabel
 from qgx.metrics import hamming_distance
 
-from oracles import exhaustive_li_distance, random_symbols
+from oracles import exhaustive_li_distance, minimum_assignments, random_symbols
 
 FIG3_X, FIG3_Y, FIG3_K = (1, 2, 3, 1), (2, 1, 2, 3), 3
 
@@ -150,3 +154,102 @@ class TestLiCrossover:
             dzy = exhaustive_li_distance(z, b, 4)
             dxy = exhaustive_li_distance(a, b, 4)
             assert dxz + dzy == dxy
+
+
+def _ga_like_pair(rng, n=60, k=4):
+    """A parent and a relabeling of it with up to half its labels redrawn,
+    as parents of one GA population are."""
+    a = random_symbols(rng, n, k)
+    b = list(relabel(a, tuple(int(v) + 1 for v in rng.permutation(k))))
+    for i in rng.integers(0, n, size=int(rng.integers(0, n // 2 + 1))):
+        b[i] = int(rng.integers(1, k + 1))
+    return a, tuple(b)
+
+
+def _unused_labels_pair(rng, n=8, k=5):
+    """Both parents drawn from fewer labels than the alphabet holds."""
+    return random_symbols(rng, n, k - 2), random_symbols(rng, n, k - 1)
+
+
+class TestLiNormalizeBoth:
+    def _branch(self, a, b, k):
+        cost = grouping._cost_table(a, b, k)
+        transpose = list(zip(*cost))
+        return (grouping._certified(cost) is not None, grouping._certified(transpose) is not None)
+
+    def test_equals_two_single_calls_on_every_branch(self):
+        rng = np.random.default_rng(20)
+        makers = [
+            (4, _ga_like_pair),
+            (4, lambda r: (random_symbols(r, 6, 4), random_symbols(r, 6, 4))),
+            (4, lambda r: (random_symbols(r, 60, 4), random_symbols(r, 60, 4))),
+            (5, _unused_labels_pair),
+            (3, lambda r: _ga_like_pair(r, n=5, k=3)),
+        ]
+        branches = Counter()
+        for k, make in makers:
+            for _ in range(150):
+                a, b = make(rng)
+                expected = (li_normalize(a, b, k), li_normalize(b, a, k))
+                assert li_normalize_both(a, b, k) == expected
+                branches[self._branch(a, b, k)] += 1
+        # forward only, transpose only, both, neither
+        assert set(branches) == {(True, False), (False, True), (True, True), (False, False)}
+        assert min(branches.values()) >= 10
+
+    def test_tied_and_equal_pairs(self):
+        pairs = [((1, 1, 2, 2, 3, 4), (1, 2, 1, 2, 4, 3)), ((1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 1, 2)),
+                 ((2, 2, 1, 3), (2, 2, 1, 3)), ((1,), (1,))]
+        for a, b in pairs:
+            assert li_normalize_both(a, b, 4) == (li_normalize(a, b, 4), li_normalize(b, a, 4))
+
+    def test_checks_the_pair(self):
+        with pytest.raises(DimensionError):
+            li_normalize_both((1, 2), (1, 2, 3), 3)
+        with pytest.raises(InputError, match="outside alphabet 1..3"):
+            li_normalize_both((1, 2, 3), (1, 4, 2), 3)
+        with pytest.raises(InputError, match="non-empty"):
+            li_normalize_both((), (), 0)
+
+
+class TestCertificate:
+    """The certified relabeling is the unique optimum, so Hungarian returns it."""
+
+    @staticmethod
+    def _pin(cost):
+        sigma = grouping._certified(cost)
+        if sigma is not None:
+            assert minimum_assignments(cost) == [sigma]
+            assert hungarian(cost)[0] == sigma
+        return sigma
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(21)
+        certified = 0
+        for _ in range(400):
+            k = int(rng.integers(2, 6))
+            cost = [[-int(c) for c in row] for row in rng.integers(0, 12, size=(k, k))]
+            certified += self._pin(cost) is not None
+        assert certified > 50
+        assert self._pin([[-7]]) == (1,)
+
+    def test_tables_with_ties(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            cost = [[-int(c) for c in row] for row in rng.integers(0, 3, size=(k, k))]
+            sigma = self._pin(cost)
+            if any(row.count(min(row)) > 1 for row in cost):
+                assert sigma is None
+        # distinct strict row minima certify; a shared column or a tied row does not
+        assert grouping._certified([[-3, -1], [0, -2]]) == (1, 2)
+        assert grouping._certified([[-3, -1], [-2, 0]]) is None
+        assert grouping._certified([[-1, -1], [0, -2]]) is None
+
+    def test_ga_tables_against_hungarian_and_enumeration(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a, b = _ga_like_pair(rng)
+            cost = grouping._cost_table(a, b, 4)
+            self._pin(cost)
+            self._pin(list(zip(*cost)))
