@@ -18,8 +18,8 @@ sequences. The GA runs `quotient_crossover` on both orders of a parent
 pair, except where a family serves both orders from one piece of exact
 work (`normalize_both`): the sequence family's alignment forward pass,
 the grouping family's agreement table with its unique-optimum
-certificate, and the circular family's vote pass (Hamming base; swap
-distance scans both orders).
+certificate, the circular family's vote pass (Hamming base; swap distance
+scans both orders) and the symmetric-real family's one sort of each.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -92,8 +92,8 @@ class Family:
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)), ties included, from
-    # one piece of shared exact work: one alignment forward pass (sequence), one
-    # agreement table (grouping), one vote pass (circular); None elsewhere
+    # one piece of shared exact work: one alignment forward pass (sequence), one agreement
+    # table (grouping), one vote pass (circular), one sort of each (symmetric-real); else None
     normalize_both: Callable | None = None
 
     @property
@@ -304,7 +304,8 @@ _FAMILIES = (
         suite=Options(size=5),
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (x, symmetric.normalize_real(x, y)[0]),
+        normalize=lambda x, y, o, rng: (x, symmetric.sort_match(x, y)),
+        normalize_both=lambda x, y, o, rng: _group_both(x, y, *symmetric.normalize_real_both(x, y)),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
         mutate=_mutate_reals,

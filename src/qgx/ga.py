@@ -95,8 +95,8 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     run.
 
     A family whose exact normalizer serves both orders from one piece of
-    work (`Family.normalize_both`: the sequence family's alignment, the
-    grouping family's agreement table, the circular family's vote pass)
+    work (`Family.normalize_both`: sequence alignment, grouping agreement
+    table, circular vote pass, symmetric-real sort of each vector)
     gets both moved pairs first and then runs the base crossover twice,
     with the same skip of equal parents. An exact normalizer draws no
     randomness, so the rng draws are those of normalize, cross,

@@ -4,10 +4,10 @@ When fitness is unchanged by any permutation of the variables, the n!
 coordinate shuffles form an isometry group of both Euclidean and Hamming
 distance, and genotypes that are rearrangements of each other encode the
 same solution. Normalization rearranges the second parent to sit closest
-to the first: for reals this is sort-matching (i-th smallest to i-th
-smallest), for discrete vectors a positionwise assignment problem. The
-discrete quotient distance needs no assignment: it is n minus the
-symbols the two vectors share, counted with multiplicity.
+to the first: for reals by sort-matching (i-th smallest to i-th smallest;
+`normalize_real_both` serves both orders of a GA pair from one sort of
+each), for discrete vectors by a positionwise assignment problem. The
+discrete quotient distance is n minus the shared symbols, with multiplicity.
 """
 
 from __future__ import annotations
@@ -38,21 +38,41 @@ def coordinate_action(n: int) -> GroupAction:
     )
 
 
+def _ranks(x: RealVector, y: RealVector) -> tuple[list[int], list[int]]:
+    # each vector's indices by ascending value, equal values by ascending index (stable sort)
+    require_same_length(x, y)
+    return sorted(range(len(x)), key=x.__getitem__), sorted(range(len(y)), key=y.__getitem__)
+
+
+def _matched(slots: list[int], ranks: list[int], y: RealVector) -> RealVector:
+    out = [0.0] * len(y)
+    for i, j in zip(slots, ranks):  # the r-th smallest of y to the r-th slot
+        out[i] = y[j]
+    return tuple(out)
+
+
+def sort_match(x: RealVector, y: RealVector) -> RealVector:
+    """`normalize_real`'s y* without the distance."""
+    return _matched(*_ranks(x, y), y)
+
+
 def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     """Sort-matching: i-th smallest of y moves to the slot of i-th smallest of x.
 
     By the rearrangement inequality this minimizes the sum of squared
     differences, hence the Euclidean distance, over all rearrangements
-    of y. Equal values keep their original index order.
+    of y. Ties: the slots of equal x values are filled in ascending
+    index order, and equal y values are taken in ascending index order
+    (only a signed zero, -0.0 against 0.0, shows the second rule).
     """
-    require_same_length(x, y)
-    slots = sorted(range(len(x)), key=lambda i: (x[i], i))
-    y_sorted = sorted(y)
-    y_star = [0.0] * len(x)
-    for rank, slot in enumerate(slots):
-        y_star[slot] = y_sorted[rank]
-    y_star = tuple(y_star)
+    y_star = sort_match(x, y)
     return y_star, euclidean_distance(x, y_star)
+
+
+def normalize_real_both(x: RealVector, y: RealVector) -> tuple[RealVector, RealVector]:
+    """(normalize_real(x, y)[0], normalize_real(y, x)[0]) from one sort of each vector."""
+    ranks_x, ranks_y = _ranks(x, y)
+    return _matched(ranks_x, ranks_y, y), _matched(ranks_y, ranks_x, x)
 
 
 def normalize_discrete(x: SymbolVector, y: SymbolVector) -> tuple[SymbolVector, int]:

@@ -166,6 +166,8 @@ STREAM_PROBLEMS = {
     "grouping": lambda: partitioning_problem(nodes=12, groups=3, edge_prob=0.25, instance_seed=1),
     "circular": lambda: random_tsp_problem(cities=9, instance_seed=3),
     "symmetric-real": lambda: symmetric_problem("sorted_poly", length=5),
+    # the verify benchmark's GA length: long rank orders, rare ties
+    "symmetric-real-40": lambda: symmetric_problem("sum_of_squares", length=40),
     "symmetric-discrete": _discrete_problem,
     "sequence": lambda: sequence_problem("acgttagcat"),
     "graph-exact": lambda: _graph_problem(EXACT_MATCH_CAP),

@@ -16,6 +16,7 @@ from qgx.symmetric import (
     coordinate_action,
     normalize_discrete,
     normalize_real,
+    normalize_real_both,
     permute_coords,
     quotient_euclidean,
     quotient_hamming,
@@ -101,6 +102,50 @@ class TestNormalizeReal:
             xs = permute_coords(x, random_perm(rng, 5))
             ys = permute_coords(y, random_perm(rng, 5))
             assert quotient_euclidean(xs, ys) == pytest.approx(d, abs=1e-9)
+
+    def test_tie_rule(self):
+        # equal x values fill their slots in ascending index order, and equal
+        # y values go out in ascending index order: the y value at index 0
+        # goes to the slot of x's 0.0, the one at index 1 to the first 1.0 slot
+        assert repr(normalize_real((1.0, 1.0, 0.0), (0.0, -0.0, 5.0))[0]) == "(-0.0, 5.0, 0.0)"
+        assert repr(normalize_real((1.0, 1.0, 0.0), (-0.0, 0.0, 5.0))[0]) == "(0.0, 5.0, -0.0)"
+
+
+# signed zeros, repeated small integers, gaussians: ties in x and in y
+REAL_DRAWS = (
+    lambda rng: float(rng.choice([0.0, -0.0, 1.0, -1.0, 2.0])),
+    lambda rng: float(rng.integers(-3, 4)),
+    lambda rng: float(rng.normal()),
+)
+
+
+def _tied_real_pairs(rng, count):
+    """Fixed signed-zero pairs, then random pairs of n = 0..12 and n = 40."""
+    pairs = [((0.0, -0.0, 1.0), (-0.0, 0.0, 1.0)), ((-0.0, 0.0, 0.0), (0.0, 0.0, -0.0)), ((), ())]
+    for i in range(count):
+        n, draw = 40 if i % 10 == 0 else i % 13, REAL_DRAWS[i % 3]
+        pairs.append((tuple(draw(rng) for _ in range(n)), tuple(draw(rng) for _ in range(n))))
+    return pairs
+
+
+class TestNormalizeRealBoth:
+    def test_equals_two_normalize_real_calls_by_repr(self):
+        # repr, not ==, since -0.0 == 0.0 would hide a signed zero in the wrong slot
+        for x, y in _tied_real_pairs(np.random.default_rng(11), 600):
+            both = normalize_real_both(x, y)
+            assert repr(both) == repr((normalize_real(x, y)[0], normalize_real(y, x)[0]))
+            assert repr(FAMILIES["symmetric-real"].normalize(x, y, Options(), None)) == repr((x, both[0]))
+
+    def test_moved_parents_are_closest_by_enumeration(self):
+        for x, y in _tied_real_pairs(np.random.default_rng(12), 300):
+            if len(x) <= 6:
+                y_star, x_star = normalize_real_both(x, y)
+                assert euclidean_distance(x, y_star) == pytest.approx(exhaustive_symmetric_real(x, y), abs=1e-9)
+                assert euclidean_distance(y, x_star) == pytest.approx(exhaustive_symmetric_real(y, x), abs=1e-9)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            normalize_real_both((1.0, 2.0), (1.0,))
 
 
 class TestNormalizeDiscrete:
