@@ -83,10 +83,6 @@ class RunResult:
     evaluations: int
     wall_time: float
 
-    @property
-    def best_series(self) -> tuple[float, ...]:
-        return tuple(s.best for s in self.stats)
-
 
 def crossover_operator(problem: Problem, mode: str) -> Callable:
     """The crossover step of one parent pair: (p1, p2, rng) -> the two

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import DimensionError
-from .genotypes import Permutation, invert_permutation
+from .errors import DimensionError, InputError
+from .genotypes import Permutation
 
 Metric = Callable[[object, object], float]
 
@@ -33,25 +33,52 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.dist(a, b)
 
 
-def swap_distance(p: Permutation, q: Permutation) -> int:
-    """Minimum number of transpositions turning p into q.
+_NOT_PERMUTATIONS = "parents are not permutations of the same values"
 
-    Equals n minus the number of cycles of the composition q . p^-1.
+
+def pair_cycles(p1: Permutation, p2: Permutation) -> tuple[list[int], int]:
+    """Cycle decomposition of the pair over positions: (label, count).
+
+    Starting at an unlabelled position, repeatedly jump to the position
+    where p1 holds the value p2 currently points at; each closed walk is
+    one cycle. `label[i]` is the cycle of position i, and cycles are
+    numbered 0..count-1 in order of their smallest position. The value
+    sets of p1 and p2 agree on every cycle, so inheriting whole cycles
+    keeps offspring bijective.
+
+    Raises DimensionError for parents of different lengths and
+    InputError when they are not permutations of the same values.
     """
-    require_same_length(p, q)
-    n = len(p)
-    inv_p = invert_permutation(p)
-    seen = [False] * n
-    cycles = 0
-    for start in range(1, n + 1):
-        if seen[start - 1]:
+    if len(p1) != len(p2):
+        raise DimensionError(f"size mismatch: {len(p1)} vs {len(p2)}")
+    pos_in_p1 = {v: i for i, v in enumerate(p1)}
+    if len(pos_in_p1) != len(p1):
+        raise InputError(_NOT_PERMUTATIONS)
+    label = [-1] * len(p1)
+    count = 0
+    for start in range(len(p1)):
+        if label[start] >= 0:
             continue
-        cycles += 1
         i = start
-        while not seen[i - 1]:
-            seen[i - 1] = True
-            i = q[inv_p[i - 1] - 1]
-    return n - cycles
+        while label[i] < 0:
+            label[i] = count
+            try:
+                i = pos_in_p1[p2[i]]
+            except KeyError:
+                raise InputError(_NOT_PERMUTATIONS) from None
+        # With p2's values all in p1, the jumps permute the positions
+        # unless p2 repeats a value; then some position is no jump's
+        # target, and the walk from it stops short of its start.
+        if i != start:
+            raise InputError(_NOT_PERMUTATIONS)
+        count += 1
+    return label, count
+
+
+def swap_distance(p: Permutation, q: Permutation) -> int:
+    """Minimum number of transpositions turning p into q: n minus the
+    number of cycles of the pair (`pair_cycles`), with its errors."""
+    return len(p) - pair_cycles(p, q)[1]
 
 
 def in_segment(x, z, y, metric: Metric, tol: float = 0.0) -> bool:

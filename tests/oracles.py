@@ -390,7 +390,7 @@ def dp_optimal_align(s: str, t: str) -> tuple[str, str]:
     return "".join(reversed(left)), "".join(reversed(right))
 
 
-def _position_cycles(p1: tuple, p2: tuple) -> list[list[int]]:
+def position_cycles(p1: tuple, p2: tuple) -> list[list[int]]:
     """The cycles of positions i -> (where p1 holds p2[i]), by smallest start."""
     n = len(p1)
     where_p1 = {v: i for i, v in enumerate(p1)}
@@ -411,7 +411,7 @@ def _position_cycles(p1: tuple, p2: tuple) -> list[list[int]]:
 
 def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
     """All cycle-crossover offspring over every per-cycle coin outcome."""
-    cycles = _position_cycles(p1, p2)
+    cycles = position_cycles(p1, p2)
     offspring = set()
     for coins in itertools.product((0, 1), repeat=len(cycles)):
         child = list(p1)
@@ -426,7 +426,7 @@ def enumerate_cycle_offspring(p1: tuple, p2: tuple) -> set[tuple]:
 def per_cycle_coin_cycle_crossover(p1: tuple, p2: tuple, rng: np.random.Generator) -> tuple:
     """Cycle crossover with one scalar coin draw per cycle, in cycle order."""
     child = list(p1)
-    for cycle in _position_cycles(p1, p2):
+    for cycle in position_cycles(p1, p2):
         if rng.integers(0, 2) == 1:
             for i in cycle:
                 child[i] = p2[i]

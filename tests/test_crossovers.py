@@ -7,17 +7,17 @@ from qgx.crossovers import (
     cycle_crossover,
     line_crossover,
     mask_crossover,
-    pair_cycles,
     random_mask,
     uniform_crossover,
 )
 from qgx.errors import DimensionError, InputError, ParameterError
-from qgx.metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
+from qgx.metrics import euclidean_distance, hamming_distance, in_segment, pair_cycles, swap_distance
 
 from oracles import (
     enumerate_cycle_offspring,
     generator_random_mask,
     per_cycle_coin_cycle_crossover,
+    position_cycles,
     random_perm,
     random_symbols,
 )
@@ -86,6 +86,53 @@ class TestLineCrossover:
             assert in_segment(p1, z, p2, euclidean_distance, tol=1e-9)
 
 
+NON_PERMUTATION_PAIRS = [
+    ((1, 2, 3), (1, 2, 4)),  # a value of p2 missing from p1
+    ((1, 1, 2), (1, 2, 2)),  # repeated values
+    ((1, 2, 3), (1, 1, 2)),  # repeats in p2 only
+    ((1, 1, 3), (1, 2, 3)),  # repeats in p1 only
+]
+NOT_PERMUTATIONS = "^parents are not permutations of the same values$"
+
+
+class TestPairCycles:
+    @staticmethod
+    def expected(p1, p2):
+        """Labels and count from the oracle's cycles, each cycle labelled by its index."""
+        cycles = position_cycles(p1, p2)
+        label = [0] * len(p1)
+        for c, cycle in enumerate(cycles):
+            for i in cycle:
+                label[i] = c
+        return label, len(cycles)
+
+    def test_labels_match_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(31)
+        for n in range(13):
+            for _ in range(40):
+                p1, p2 = random_perm(rng, n), random_perm(rng, n)
+                assert pair_cycles(p1, p2) == self.expected(p1, p2), (p1, p2)
+
+    def test_labels_match_oracle_on_close_pairs(self):
+        """A few swaps apart at n = 100, so there are many short cycles."""
+        rng = np.random.default_rng(32)
+        for swaps in (0, 1, 3, 6):
+            p1 = random_perm(rng, 100)
+            p2 = list(p1)
+            for _ in range(swaps):
+                i, j = rng.choice(100, size=2, replace=False).tolist()
+                p2[i], p2[j] = p2[j], p2[i]
+            p2 = tuple(p2)
+            label, count = pair_cycles(p1, p2)
+            assert (label, count) == self.expected(p1, p2)
+            assert count >= 100 - swaps
+
+    @pytest.mark.parametrize("p1, p2", NON_PERMUTATION_PAIRS)
+    def test_swap_distance_rejects_non_permutations(self, p1, p2):
+        with pytest.raises(InputError, match=NOT_PERMUTATIONS):
+            swap_distance(p1, p2)
+
+
 class TestCycleCrossover:
     def test_equal_parents(self):
         rng = np.random.default_rng(0)
@@ -95,7 +142,7 @@ class TestCycleCrossover:
     def test_single_cycle_gives_a_parent(self):
         rng = np.random.default_rng(0)
         p1, p2 = (1, 2, 3, 4), (2, 3, 4, 1)
-        assert len(pair_cycles(p1, p2)) == 1
+        assert pair_cycles(p1, p2)[1] == 1
         for _ in range(20):
             assert cycle_crossover(p1, p2, rng) in (p1, p2)
 
@@ -111,20 +158,11 @@ class TestCycleCrossover:
         with pytest.raises(DimensionError):
             cycle_crossover((1, 2), (1, 2, 3), np.random.default_rng(0))
 
-    @pytest.mark.parametrize(
-        "p1, p2",
-        [
-            ((1, 2, 3), (1, 2, 4)),  # a value of p2 missing from p1
-            ((1, 1, 2), (1, 2, 2)),  # repeated values
-            ((1, 2, 3), (1, 1, 2)),  # repeats in p2 only
-            ((1, 1, 3), (1, 2, 3)),  # repeats in p1 only
-        ],
-    )
+    @pytest.mark.parametrize("p1, p2", NON_PERMUTATION_PAIRS)
     def test_non_permutation_parents(self, p1, p2):
-        message = "^parents are not permutations of the same values$"
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=NOT_PERMUTATIONS):
             pair_cycles(p1, p2)
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=NOT_PERMUTATIONS):
             cycle_crossover(p1, p2, np.random.default_rng(0))
 
     def test_rejects_exactly_the_non_permutation_pairs(self):

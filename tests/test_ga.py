@@ -104,7 +104,7 @@ class TestRunGa:
         for seed in (1, 2, 3):
             problem = random_tsp_problem(cities=10, instance_seed=5)
             result = run_ga(problem, _tiny_config(seed=seed, generations=12))
-            series = result.best_series
+            series = tuple(s.best for s in result.stats)
             assert all(b2 <= b1 for b1, b2 in zip(series, series[1:]))
 
     def test_evaluation_budget(self):

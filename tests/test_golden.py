@@ -166,7 +166,7 @@ def record_ga() -> dict:
                               mutation_rate=0.2, tournament=2, mode=mode, seed=5)
             result = run_ga(make(), config)
             record[f"{name} {mode}"] = {
-                "best_series": [repr(v) for v in result.best_series],
+                "best_series": [repr(s.best) for s in result.stats],
                 "mean_series": [repr(s.mean) for s in result.stats],
                 "best_genotype": repr(result.best_genotype),
             }
