@@ -20,6 +20,7 @@ from .families import FAMILIES, SEQUENCE_ALPHABET, Options
 from .problems import Problem
 
 MODES = ("raw", "quotient")
+MAX_TOURNAMENT = 1024  # a generation holds population x tournament drawn entrants
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class GAConfig:
                 raise ParameterError(f"{rate_name} must be a number, got {rate!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ParameterError(f"{rate_name} must be in [0,1], got {rate}")
-        if self.tournament < 1:
-            raise ParameterError(f"tournament size must be >= 1, got {self.tournament}")
+        if not 1 <= self.tournament <= MAX_TOURNAMENT:
+            raise ParameterError(f"tournament must be 1..{MAX_TOURNAMENT}, got {self.tournament}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -136,21 +137,13 @@ def mutate(
     return FAMILIES[family].mutate(genotype, rate, rng, k, alphabet)
 
 
-def _tournament(fitness: list[float], size: int, rng: np.random.Generator) -> int:
-    best = None
-    for _ in range(size):
-        i = int(rng.integers(0, len(fitness)))
-        if best is None or fitness[i] < fitness[best]:
-            best = i
-    return best
-
-
 def run_ga(problem: Problem, config: GAConfig) -> RunResult:
-    """Run the GA; deterministic for a fixed (problem, config) pair."""
+    """Run the GA; deterministic for a fixed (problem, config) pair.
+
+    Selection draws a generation's population x tournament entrants at
+    once; rows 2i, 2i + 1 serve pair i, each won by its first entrant of least fitness."""
     xover = crossover_operator(problem, config.mode)
-    mut_kwargs = {"k": problem.k}
-    if problem.alphabet is not None:
-        mut_kwargs["alphabet"] = problem.alphabet
+    alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
 
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
@@ -165,17 +158,14 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
 
     stats = []
     for gen in range(1, config.generations + 1):
+        entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
+        parents = [population[min(row, key=fitness.__getitem__)] for row in entrants]
         offspring = []
-        for _ in range(size // 2):
-            p1 = population[_tournament(fitness, config.tournament, rng_sel)]
-            p2 = population[_tournament(fitness, config.tournament, rng_sel)]
-            if rng_cx.random() < config.crossover_rate:
-                children = xover(p1, p2, rng_cx)
-            else:
-                children = (p1, p2)
-            offspring.extend(children)
+        for p1, p2 in zip(parents[::2], parents[1::2]):
+            crossed = rng_cx.random() < config.crossover_rate
+            offspring.extend(xover(p1, p2, rng_cx) if crossed else (p1, p2))
         offspring = [
-            mutate(c, problem.family, config.mutation_rate, rng_mut, **mut_kwargs)
+            mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
             for c in offspring
         ]
         fits = [problem.fitness(g) for g in offspring]

@@ -24,7 +24,7 @@ from .genotypes import (
     random_symbol_vector,
 )
 from .graphs import edges_of, random_adjacency
-from .sequences import GAP, check_sequence, edit_distance, random_sequence
+from .sequences import GAP, check_sequence, edit_distance_to, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
 
 MAX_TSP_CITIES = 2000  # the leg table of 1000 cities takes 32 MB
@@ -79,11 +79,14 @@ def partitioning_problem(
     _check_count("instance_seed", instance_seed, 0)
     _check_finite("balance_weight", balance_weight)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
-    edges = edges_of(graph)
+    edges = [(u - 1, v - 1) for u, v in edges_of(graph)]
     target = nodes / groups
 
     def fitness(g) -> float:
-        cut = sum(g[u - 1] != g[v - 1] for u, v in edges)
+        cut = 0
+        for u, v in edges:
+            if g[u] != g[v]:
+                cut += 1
         counts = [0] * groups
         for label in g:
             counts[label - 1] += 1
@@ -185,11 +188,11 @@ def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
         raise InputError("target and alphabet must be non-empty")
     if GAP in alphabet:
         raise InputError(f"alphabet may not contain the gap symbol {GAP!r}: {alphabet!r}")
-
+    distance = edit_distance_to(target)
     return Problem(
         name=f"sequence-match(len={len(target)})",
         family="sequence",
-        fitness=lambda s: float(edit_distance(s, target)),
+        fitness=lambda s: float(distance(s)),
         initializer=lambda rng: random_sequence(2 * len(target), alphabet, rng),
         size=len(target),
         alphabet=alphabet,

@@ -24,7 +24,8 @@ it returns exactly `optimal_align(t, s)`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,8 @@ def _char_masks(s: str) -> dict[str, int]:
     return peq
 
 
-def edit_distance(s: str, t: str) -> int:
-    """Unit-cost Levenshtein distance (insert, delete, replace).
+def _distance(peq: dict[str, int], full: int, t: str) -> int:
+    """Edit distance of s and t from peq = `_char_masks(s)`, full = 2**len(s) - 1.
 
     Bit-parallel (Myers 1999, JACM 46(3); Hyyrö 2001) over Python ints:
     a column of the edit table is two len(s)-bit words of vertical
@@ -71,10 +72,6 @@ def edit_distance(s: str, t: str) -> int:
     score is read from the final column: D[m][n] = n + popcount(Pv) -
     popcount(Mv), where m = len(s) and n = len(t).
     """
-    if s == t:
-        return 0
-    peq = _char_masks(s)
-    full = (1 << len(s)) - 1
     pv, mv = full, 0
     for ch in t:
         eq = peq.get(ch, 0)
@@ -86,6 +83,16 @@ def edit_distance(s: str, t: str) -> int:
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
     return len(t) + pv.bit_count() - mv.bit_count()
+
+
+def edit_distance(s: str, t: str) -> int:
+    """Unit-cost Levenshtein distance (insert, delete, replace); see `_distance`."""
+    return 0 if s == t else _distance(_char_masks(s), (1 << len(s)) - 1, t)
+
+
+def edit_distance_to(target: str) -> Callable[[str], int]:
+    """s -> edit_distance(s, target) over the target's masks (the distance is symmetric)."""
+    return functools.partial(_distance, _char_masks(target), (1 << len(target)) - 1)
 
 
 class Alignment(NamedTuple):
@@ -101,7 +108,7 @@ class Alignment(NamedTuple):
 
 
 def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
-    """The forward pass of `edit_distance`, keeping columns 0..len(t) of
+    """The forward pass of `_distance`, keeping columns 0..len(t) of
     the table of s against t as (Pv, Mv, Ph, Mh) delta words.
 
     Bit r of Pv_j, Mv_j is D[r+1][j] - D[r][j] = +1 or -1; Ph_j, Mh_j are

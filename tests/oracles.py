@@ -21,7 +21,10 @@ the pair-level step that replaced it. `per_cycle_coin_cycle_crossover`
 is the former cycle crossover, one scalar coin draw per cycle, kept to
 pin the draws of the sized draw that replaced it, and
 `coordinate_tour_length` is the former tour length from coordinates,
-kept to pin the leg-table sum bit for bit.
+kept to pin the leg-table sum bit for bit. `scalar_tournament` is the
+GA's former selection, one scalar draw per entrant, kept to pin the
+parents and the draws of the one sized draw per generation that
+replaced it.
 """
 
 from __future__ import annotations
@@ -256,6 +259,17 @@ def two_call_crossover_operator(problem, mode: str):
     if mode == "quotient":
         xover = family.quotient_crossover(Options(k=problem.k, size=problem.size))
     return lambda x, y, rng: (xover(x, y, rng), xover(y, x, rng))
+
+
+def scalar_tournament(fitness: list[float], size: int, rng: np.random.Generator) -> int:
+    """Index of the first of `size` entrants, drawn one at a time, with
+    the strictly smallest fitness."""
+    best = None
+    for _ in range(size):
+        i = int(rng.integers(0, len(fitness)))
+        if best is None or fitness[i] < fitness[best]:
+            best = i
+    return best
 
 
 def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:

@@ -419,6 +419,11 @@ class TestGa:
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_tournament_over_cap_exits_two(self, capsys, tmp_path):
+        config = self._write_config(tmp_path, tournament=1025)
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "tournament must be 1..1024, got 1025" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value", [("mutation_rate", "0.5"), ("crossover_rate", True)])
     def test_non_numeric_rates_exit_two(self, capsys, tmp_path, field, value):
         config = self._write_config(tmp_path, **{field: value})

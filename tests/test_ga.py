@@ -1,6 +1,8 @@
 """GA harness: config validation, determinism, elitism, budget fairness,
 and genotype closure under mutation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,9 @@ from qgx.problems import (
     sequence_problem,
     symmetric_problem,
 )
+from qgx.sequences import edit_distance
 
-from oracles import adjacency, two_call_crossover_operator
+from oracles import adjacency, scalar_tournament, two_call_crossover_operator
 
 
 def _tiny_config(**overrides):
@@ -49,6 +52,9 @@ class TestConfigValidation:
         ("crossover_rate", 1.5),
         ("mutation_rate", -0.1),
         ("tournament", 0),
+        ("tournament", ga.MAX_TOURNAMENT + 1),
+        # rejected before any run: no population x tournament block is drawn
+        ("tournament", 10**12),
         ("mode", "hybrid"),
         ("seed", -1),
         ("seed", 2**64),
@@ -237,6 +243,49 @@ class TestPairCrossoverStep:
         assert len(calls) == config.generations * pairs_per_generation
 
 
+def _selection_problem(tied):
+    # with tied, fitness takes only the values -1, 0 and 1, so most
+    # tournaments hold entrants of equal fitness
+    fitness = (lambda x: float(round(x[0]))) if tied else (lambda x: float(sum(v * v for v in x)))
+    return Problem(name="selection", family="symmetric-real", fitness=fitness,
+                   initializer=lambda rng: random_real_vector(3, rng, -1.0, 1.0), size=3)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("tournament", [1, 2, 3, 4])
+@pytest.mark.parametrize("population", [2, 20, 30, 60])
+def test_selection_matches_the_scalar_tournament(population, tournament, tied, monkeypatch):
+    """The first generation's parents are those of one scalar tournament
+    per parent, in pair order, on the initial population, and the
+    selection stream ends where population x tournament scalar draws
+    per generation leave it."""
+    problem = _selection_problem(tied)
+    pairs = []
+
+    def recording_operator(problem, mode):
+        def record(x, y, rng):
+            pairs.append((x, y))
+            return x, y
+
+        return record
+
+    monkeypatch.setattr(ga, "crossover_operator", recording_operator)
+    for seed in range(3):
+        pairs.clear()
+        config = GAConfig(population=population, generations=3, crossover_rate=1.0,
+                          mutation_rate=0.0, tournament=tournament, seed=seed)
+        _, states = _run_recording_streams(problem, config, monkeypatch)
+
+        init, sel = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)[:2])
+        initial = [problem.initializer(init) for _ in range(population)]
+        fitness = [problem.fitness(g) for g in initial]
+        picks = [initial[scalar_tournament(fitness, tournament, sel)] for _ in range(population)]
+        assert pairs[: population // 2] == list(zip(picks[::2], picks[1::2]))
+        for _ in range(2 * population * tournament):
+            sel.integers(0, population)
+        assert states[1] == sel.bit_generator.state
+
+
 # Every draw kind qgx makes, by range: coins (2), edit operations (3),
 # labels (k = 3..5), tournament picks (population 20, 30, 60) and swap
 # positions (100 cities); uniform floats; gaussian steps.
@@ -292,8 +341,6 @@ class TestMutate:
         assert seen == {1, 2, 3, 4}
 
     def test_sequence_mutation_single_edit(self):
-        from qgx.sequences import edit_distance
-
         rng = np.random.default_rng(4)
         for _ in range(300):
             s = "acgtac"
@@ -335,6 +382,23 @@ class TestProblemBuilding:
         problem = symmetric_problem()
         with pytest.raises(ParameterError):
             crossover_operator(problem, "both")
+
+    def test_sequence_fitness_is_edit_distance_to_the_target(self):
+        # candidates as a ga-sequence run makes them: a 100-letter target,
+        # random sequences of 1..200 letters and their offspring
+        target = "".join("acgt"[i] for i in np.random.default_rng(11).integers(0, 4, size=100))
+        problem = sequence_problem(target)
+        candidates = []
+
+        def recording(s):
+            candidates.append(s)
+            return problem.fitness(s)
+
+        for mode in ("raw", "quotient"):
+            run_ga(dataclasses.replace(problem, fitness=recording), GAConfig(population=20, generations=4, mode=mode, seed=1))
+        assert len(candidates) == 2 * 20 * 5
+        for s in candidates + [target]:
+            assert problem.fitness(s) == float(edit_distance(s, target))
 
     def test_partitioning_fitness_is_label_symmetric(self):
         from qgx.grouping import relabel

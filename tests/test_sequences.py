@@ -11,6 +11,7 @@ from qgx.sequences import (
     GAP,
     check_sequence,
     edit_distance,
+    edit_distance_to,
     optimal_align,
     optimal_align_both,
     tail_padded_crossover,
@@ -112,6 +113,24 @@ class TestEditDistance:
     @given(text_pairs())
     def test_matches_plain_dp(self, pair):
         assert edit_distance(*pair) == dp_edit_distance(*pair)
+
+    @pytest.mark.parametrize("alphabet,target_alphabet", [
+        ("acgt", "acgt"),
+        # candidate letters absent from the target, and the reverse
+        ("acgtαβ", "acgt"),
+        ("acgt", "acgtαβ"),
+    ])
+    def test_target_masks_match_both_orders_and_plain_dp(self, alphabet, target_alphabet):
+        """edit_distance_to(t) runs over t's masks, so it relies on the
+        distance being symmetric; checked at every target length 0..200."""
+        rng = np.random.default_rng(19)
+        for n in range(201):
+            t = "".join(target_alphabet[int(i)] for i in rng.integers(0, len(target_alphabet), size=n))
+            distance = edit_distance_to(t)
+            assert distance(t) == edit_distance(t, t) == 0
+            for s in (random_string(rng, 200, alphabet), t[: n // 2] + "α" + t[n // 2 :]):
+                expected = dp_edit_distance(s, t)
+                assert distance(s) == edit_distance(s, t) == edit_distance(t, s) == expected
 
     @given(st.text(alphabet="acgt", max_size=15),
            st.text(alphabet="acgt", max_size=15),
