@@ -20,6 +20,8 @@ work (`normalize_both`): the sequence family's alignment forward pass,
 the grouping family's agreement table with its unique-optimum
 certificate, the circular family's vote pass (Hamming base; swap distance
 scans both orders) and the symmetric-real family's one sort of each.
+That pair step is the one place equal parents skip normalization: an
+exact normalizer returns (x, x) for them and draws nothing.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -87,13 +89,13 @@ class Family:
     mutate: Callable  # (genotype, rate, rng, k, alphabet)
     tol: float = 0.0
     pair_checks: int = 0  # quotient-suite pairs; each enumerates two orbits
-    exact: Callable[[Options], bool] = lambda opts: True  # normalize is exact and draws nothing
     resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)), ties included, from
-    # one piece of shared exact work: one alignment forward pass (sequence), one agreement
-    # table (grouping), one vote pass (circular), one sort of each (symmetric-real); else None
+    # one piece of shared exact work that draws nothing: one alignment forward pass
+    # (sequence), one agreement table (grouping), one vote pass (circular), one sort of
+    # each (symmetric-real); else None
     normalize_both: Callable | None = None
 
     @property
@@ -113,20 +115,9 @@ class Family:
 
         When the normalizer is exact, the base distance of (x*, y*) is the
         quotient distance and the offspring stays in the quotient segment;
-        a heuristic normalizer only upper-bounds it. An exact normalizer
-        draws no randomness and returns the pair itself when y == x, so
-        equal parents skip it. A heuristic one may draw from rng and always
-        runs, which keeps the stream's draws independent of whether the
-        parents happen to be equal.
+        a heuristic normalizer only upper-bounds it.
         """
-        exact = self.exact(opts)
-
-        def offspring(x, y, rng):
-            if not (exact and x == y):
-                x, y = self.normalize(x, y, opts, rng)
-            return self.crossover(x, y, rng)
-
-        return offspring
+        return lambda x, y, rng: self.crossover(*self.normalize(x, y, opts, rng), rng)
 
 
 # ---------------------------------------------------------------- text forms
@@ -293,7 +284,6 @@ _FAMILIES = (
         crossover=lambda a, b, rng: graphs.uniform_edge_crossover(a, b, rng),
         mutate=_mutate_edges,
         pair_checks=8,
-        exact=_graph_exact,
         reads_files=True,
     ),
     Family(

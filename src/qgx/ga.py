@@ -94,19 +94,18 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     A family whose exact normalizer serves both orders from one piece of
     work (`Family.normalize_both`: sequence alignment, grouping agreement
     table, circular vote pass, symmetric-real sort of each vector)
-    gets both moved pairs first and then runs the base crossover twice,
-    with the same skip of equal parents. An exact normalizer draws no
+    gets both moved pairs first and then runs the base crossover twice.
+    Equal parents, which tournament selection often draws, skip that
+    work: an exact normalizer returns them unmoved and draws no
     randomness, so the rng draws are those of normalize, cross,
     normalize, cross.
     """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if problem.family not in FAMILIES:
-        raise ParameterError(f"unknown family {problem.family!r}")
     family = FAMILIES[problem.family]
     opts = Options(k=problem.k, size=problem.size)
     cross = family.crossover
-    if mode == "quotient" and family.normalize_both is not None and family.exact(opts):
+    if mode == "quotient" and family.normalize_both is not None:
 
         def both_children(x, y, rng):
             if x == y:

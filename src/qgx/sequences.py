@@ -15,9 +15,8 @@ A GA crosses each parent pair in both orders, so `optimal_align_both`
 returns both alignments from one forward pass. The table of t against
 s is the transpose of the table of s against t, and the forward pass
 keeps each column's vertical (Pv, Mv) and horizontal (Ph, Mh) delta
-words. The transposed backtrace walks the cells of s against t: it
-reads D[i][j-1] as bit i of column j's Ph/Mh and D[i-1][j-1] as bit
-i-1 of column j-1's Pv/Mv, and it breaks ties in its own frame (match >
+words. The transposed backtrace walks the same cells of s against t,
+reading the same columns, and breaks ties in its own frame (match >
 substitute > delete > insert, where its delete drops a letter of t), so
 it returns exactly `optimal_align(t, s)`.
 """
@@ -140,14 +139,15 @@ def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
 
     Where s[i-1] == t[j-1], unit costs force D[i][j] == D[i-1][j-1] (the
     match lemma), so a match step reads no bits at all. A mismatch cell
-    is 1 + the least of its three predecessors; the step reads four bits
-    to find one at D[i][j] - 1, and only D[m][n] takes popcounts. Ties
+    is 1 + the least of its three predecessors, and the step reads bits
+    of column j to find one at D[i][j] - 1: D[i-1][j] is bit i-1 of its
+    Pv/Mv, D[i-1][j-1] bit i-1 of its Ph/Mh, and D[i][j-1] is D[i][j] - 1
+    where bit i of its Ph is set. Only D[m][n] takes popcounts. Ties
     resolve match > substitute > drop a letter of s (delete) > drop a
-    letter of t (insert), the order of `optimal_align(s, t)`: D[i-1][j]
-    is bit i-1 of column j's Pv/Mv and D[i-1][j-1] bit i-1 of its Ph/Mh.
-    With t_first the last two swap, the order of `optimal_align(t, s)`
-    (see `optimal_align_both`). The rows are spliced from slices of s
-    and t around the recorded gaps.
+    letter of t (insert), the order of `optimal_align(s, t)`; with
+    t_first the last two swap, the order of `optimal_align(t, s)` (see
+    `optimal_align_both`). The rows are spliced from slices of s and t
+    around the recorded gaps.
     """
     m, n = len(s), len(t)
     pv, mv, _, _ = cols[n]
@@ -165,18 +165,10 @@ def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
             continue
         pv, mv, ph, mh = cols[j]
         here -= 1
-        if t_first:
-            side = here + 1 - (ph >> i & 1) + (mh >> i & 1)
-            pv, mv, _, _ = cols[j - 1]
-            diag = side - (pv >> r & 1) + (mv >> r & 1)
-            delete = side != here
-        else:
-            up = here + 1 - (pv >> r & 1) + (mv >> r & 1)
-            diag = up - (ph >> r & 1) + (mh >> r & 1)
-            delete = up == here
-        if diag == here:
+        up = here + 1 - (pv >> r & 1) + (mv >> r & 1)
+        if up - (ph >> r & 1) + (mh >> r & 1) == here:
             i, j = r, j - 1
-        elif delete:
+        elif (not ph >> i & 1) if t_first else up == here:
             right += (t[j:right_end], GAP)
             i, right_end = r, j
         else:
@@ -212,9 +204,9 @@ def optimal_align_both(s: str, t: str) -> tuple[Alignment, Alignment]:
     t, so the columns kept for s against t serve both backtraces. The
     second walks the same cells with the tie order of `optimal_align(t,
     s)` in that call's own frame (match > substitute > delete > insert,
-    where its delete drops a letter of t); it reads D[i][j-1] as bit i of
-    column j's Ph/Mh and D[i-1][j-1] as bit i-1 of column j-1's Pv/Mv.
-    Its rows come out in the order (s, t) and are swapped.
+    where its delete drops a letter of t); its one extra read is bit i of
+    column j's Ph, set when D[i][j-1] is D[i][j] - 1. Its rows come out
+    in the order (s, t) and are swapped.
     """
     cols = _columns(s, t)
     s_row, t_row = _backtrace(s, t, cols, True)

@@ -304,7 +304,6 @@ class TestIqCrossover:
         rng = np.random.default_rng(17)
         family = FAMILIES["graph"]
         opts = Options(size=5)
-        assert family.exact(opts)
         xover = dataclasses.replace(family, crossover=uniform_edge_crossover).quotient_crossover(opts)
         qdist = make_quotient_hamming()
         for _ in range(30):

@@ -111,7 +111,6 @@ class TestLiNormalize:
 
     def test_normalizer_reports_quotient_distance(self):
         family = FAMILIES["grouping"]
-        assert family.exact(Options(k=4))
         rng = np.random.default_rng(6)
         for _ in range(50):
             a, b = random_symbols(rng, 6, 4), random_symbols(rng, 6, 4)

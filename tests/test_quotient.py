@@ -34,12 +34,9 @@ def enumeration_normalizer(action, metric):
     return lambda x, y, opts, rng: (x, normalize_by_enumeration(x, y, action, metric)[0])
 
 
-def induced_crossover(normalize, crossover, exact=True):
-    """`Family.quotient_crossover` with the normalizer, the base crossover
-    and the exactness swapped in."""
-    family = dataclasses.replace(
-        FAMILIES["grouping"], normalize=normalize, crossover=crossover, exact=lambda opts: exact
-    )
+def induced_crossover(normalize, crossover):
+    """`Family.quotient_crossover` with the normalizer and the base crossover swapped in."""
+    family = dataclasses.replace(FAMILIES["grouping"], normalize=normalize, crossover=crossover)
     return family.quotient_crossover(Options())
 
 
@@ -206,20 +203,6 @@ class TestInducedCrossover:
             )(x, y, rng)
             assert in_segment(x, child, y, qd)
 
-
-    def test_exact_normalizer_skipped_for_equal_parents(self):
-        calls = []
-
-        def norm(x, y, opts, rng):
-            calls.append((x, y))
-            return x, y
-
-        xover = induced_crossover(norm, lambda a, b, r: b)
-        assert xover((1, 2), (1, 2), None) == (1, 2)
-        assert calls == []
-        xover((1, 2), (2, 1), None)
-        assert calls == [((1, 2), (2, 1))]
-
     def test_inexact_normalizer_runs_for_equal_parents(self):
         # a heuristic normalizer may draw from rng, so skipping it would
         # shift the stream for every later draw
@@ -229,7 +212,7 @@ class TestInducedCrossover:
             r.integers(0, 9)  # one draw, as a heuristic matcher makes
             return x, y
 
-        xover = induced_crossover(norm, lambda a, b, r: b, exact=False)
+        xover = induced_crossover(norm, lambda a, b, r: b)
         xover((1, 2), (1, 2), rng)
         expected = np.random.default_rng(3)
         expected.integers(0, 9)

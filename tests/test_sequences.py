@@ -1,5 +1,7 @@
 """Edit distance, optimal alignment, and homologous crossover."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -234,6 +236,15 @@ class TestOptimalAlign:
             assert (forward.left, forward.right) == dp_optimal_align(s, t)
             assert (reverse.left, reverse.right) == dp_optimal_align(t, s)
             assert reverse == optimal_align(t, s)
+
+    def test_both_orders_of_every_short_binary_pair(self):
+        # every pair over "ab" of lengths 0-5, so every small tie pattern of
+        # either backtrace order
+        strings = ["".join(p) for n in range(6) for p in itertools.product("ab", repeat=n)]
+        for s, t in itertools.product(strings, repeat=2):
+            forward, reverse = optimal_align_both(s, t)
+            assert (forward.left, forward.right) == dp_optimal_align(s, t)
+            assert (reverse.left, reverse.right) == dp_optimal_align(t, s)
 
     def test_both_orders_check_their_inputs(self):
         with pytest.raises(InputError):
