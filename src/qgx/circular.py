@@ -6,20 +6,18 @@ swap distance. Normalization picks the rotation of the second parent
 closest to the first; cycle crossover applied afterwards is the
 position-independent cycle crossover.
 
-Under Hamming distance the rotation is found by voting in one pass.
-Rotating y right by k puts y[(i - k) mod n] at slot i, so every pair
-with x[i] == y[j] votes for the step k = (i - j) mod n, and the Hamming
-distance from x to that rotation is n minus its votes. The normalizing
-step is the one with the most votes, the smallest step winning ties;
-for a permutation this is O(n). Swap distance has no such count, so it
-keeps the scan of all n rotations, with the same tie rule. The empty
-tour has one rotation, itself, at distance 0.
+Every normalizer reads one list with an entry per rotation: entry k is
+the base distance from x to y rotated right by k, and the quotient
+distance is its minimum. Under Hamming the list is one vote pass
+counting down from n: rotating y right by k puts y[(i - k) mod n] at
+slot i, so every pair with x[i] == y[j] takes one off step
+k = (i - j) mod n, which is O(n) for a permutation. Swap distance has no
+such count, so its list is the scan of all n rotations. The normalizing
+step is the smallest step that reaches the minimum. The empty tour has
+one rotation, itself, at distance 0.
 
-`normalize_both` serves both orders of a GA pair from one vote pass:
-the reverse pair (y, x) votes at (n - k) mod n wherever (x, y) votes at
-k, so its normalizing step is the smallest (n - k) mod n among the
-top-voted k, which is not in general the inverse of the forward step.
-Under swap distance it scans both orders.
+`normalize_both` serves both orders of a GA pair from that one list,
+read mirrored for the reverse order.
 
 Reversal distance is not offered: recombination along reversal
 geodesics is out of reach (sorting by reversals is NP-hard).
@@ -61,68 +59,52 @@ def shift_action(n: int) -> GroupAction:
     )
 
 
-def _base_metric(base: str):
-    try:
-        return BASE_METRICS[base]
-    except KeyError:
+def _distances(x: Permutation, y: Permutation, base: str) -> list[int]:
+    """Entry k: the base distance from x to y rotated right by k; [0] for
+    the empty tour."""
+    if len(x) != len(y):
+        raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
+    if base not in BASE_METRICS:
         raise ParameterError(f"base metric must be one of {sorted(BASE_METRICS)}, got {base!r}")
-
-
-def _votes(x: Permutation, y: Permutation) -> list[int]:
-    """votes[k]: the slots where rotating y right by k matches x (n >= 1)."""
+    n = len(x)
+    if base == "swap":
+        d = BASE_METRICS[base]
+        return [d(x, shift(y, k)) for k in range(n)] or [0]
     where = {}
     for i, v in enumerate(x):
         where.setdefault(v, []).append(i)
-    votes = [0] * len(x)
+    dists = [n] * n or [0]
     for j, v in enumerate(y):
         for i in where.get(v, ()):
-            votes[i - j] += 1  # -n < i - j < n, so this is votes[(i - j) % n]
-    return votes
-
-
-def _best_shift(x: Permutation, y: Permutation, base: str) -> tuple[int, int]:
-    """(k, dist): the smallest step k whose rotation of y is closest to x."""
-    if len(x) != len(y):
-        raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
-    d = _base_metric(base)
-    n = len(x)
-    if n == 0:
-        return 0, 0
-    if base == "hamming":
-        votes = _votes(x, y)
-        top = max(votes)
-        return votes.index(top), n - top
-    best_k, best_d = 0, d(x, y)
-    for k in range(1, n):
-        dist = d(x, shift(y, k))
-        if dist < best_d:
-            best_k, best_d = k, dist
-    return best_k, best_d
+            dists[i - j] -= 1  # -n < i - j < n, so this is dists[(i - j) % n]
+    return dists
 
 
 def quotient_distance(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> int:
     """Smallest base distance from x to any rotation of y."""
-    return _best_shift(x, y, base)[1]
+    return min(_distances(x, y, base))
 
 
 def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> Permutation:
     """Rotation of y closest to x; smallest step count wins ties."""
-    return shift(y, _best_shift(x, y, base)[0])
+    dists = _distances(x, y, base)
+    return shift(y, dists.index(min(dists)))
 
 
 def normalize_both(
     x: Permutation, y: Permutation, base: BaseMetric = "hamming"
 ) -> tuple[Permutation, Permutation]:
-    """(normalize(x, y, base), normalize(y, x, base)); under Hamming, from
-    one vote pass: the smallest top-voted step of (y, x) is 0 when step 0
-    is top-voted for (x, y), else n minus the largest top-voted step."""
-    if base != "hamming" or not x or len(x) != len(y):
-        # normalize raises on a bad pair
-        return normalize(x, y, base), normalize(y, x, base)
-    votes = _votes(x, y)
-    top = max(votes)
-    back = 0 if votes[0] == top else votes[::-1].index(top) + 1
-    return shift(y, votes.index(top)), shift(x, back)
+    """(normalize(x, y, base), normalize(y, x, base)) from one distance list.
+
+    Rotation is an isometry and both base metrics are symmetric, so
+    d(y, shift(x, k)) = d(x, shift(y, -k)): the reverse order reads the
+    list mirrored, and its smallest step at the minimum is 0 when step 0
+    is at the minimum, else n minus the largest such step.
+    """
+    dists = _distances(x, y, base)
+    low = min(dists)
+    back = 0 if dists[0] == low else dists[::-1].index(low) + 1
+    return shift(y, dists.index(low)), shift(x, back)
 
 
 def leg_lengths(cities: tuple[tuple[float, float], ...]) -> tuple[tuple[float, ...], ...]:

@@ -18,8 +18,8 @@ sequences. The GA runs `quotient_crossover` on both orders of a parent
 pair, except where a family serves both orders from one piece of exact
 work (`normalize_both`): the sequence family's alignment forward pass,
 the grouping family's agreement table with its unique-optimum
-certificate, the circular family's vote pass (Hamming base; swap distance
-scans both orders) and the symmetric-real family's one sort of each.
+certificate, the circular family's one rotation-distance list and the
+symmetric-real family's one sort of each.
 That pair step is the one place equal parents skip normalization: an
 exact normalizer returns (x, x) for them and draws nothing.
 
@@ -94,8 +94,8 @@ class Family:
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)), ties included, from
     # one piece of shared exact work that draws nothing: one alignment forward pass
-    # (sequence), one agreement table (grouping), one vote pass (circular), one sort of
-    # each (symmetric-real); else None
+    # (sequence), one agreement table (grouping), one rotation-distance list (circular),
+    # one sort of each (symmetric-real); else None
     normalize_both: Callable | None = None
 
     @property

@@ -20,7 +20,8 @@ from .families import FAMILIES, SEQUENCE_ALPHABET, Options
 from .problems import Problem
 
 MODES = ("raw", "quotient")
-MAX_TOURNAMENT = 1024  # a generation holds population x tournament drawn entrants
+MAX_TOURNAMENT = 1024
+MAX_ENTRANTS = 2**20  # a generation draws population x tournament entrants at once
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ class GAConfig:
                 raise ParameterError(f"{rate_name} must be in [0,1], got {rate}")
         if not 1 <= self.tournament <= MAX_TOURNAMENT:
             raise ParameterError(f"tournament must be 1..{MAX_TOURNAMENT}, got {self.tournament}")
+        if self.population * self.tournament > MAX_ENTRANTS:
+            raise ParameterError(
+                f"population x tournament must be at most {MAX_ENTRANTS}, "
+                f"got {self.population} x {self.tournament}"
+            )
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -93,7 +99,7 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
 
     A family whose exact normalizer serves both orders from one piece of
     work (`Family.normalize_both`: sequence alignment, grouping agreement
-    table, circular vote pass, symmetric-real sort of each vector)
+    table, circular rotation-distance list, symmetric-real sort of each vector)
     gets both moved pairs first and then runs the base crossover twice.
     Equal parents, which tournament selection often draws, skip that
     work: an exact normalizer returns them unmoved and draws no

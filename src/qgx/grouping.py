@@ -24,9 +24,12 @@ there the check would mostly be extra work.
 from __future__ import annotations
 
 from .assignment import hungarian
+from .errors import InputError
 from .genotypes import Permutation, SymbolVector, check_symbols, compose_permutations, invert_permutation
 from .metrics import require_same_length
 from .quotient import GroupAction, permutation_group
+
+MAX_K = 100  # each pair builds a k x k table, and Hungarian on it is O(k^3)
 
 
 def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
@@ -41,6 +44,8 @@ def relabeling_action(k: int) -> GroupAction:
 
 
 def _check_pair(a: SymbolVector, b: SymbolVector, k: int) -> None:
+    if k > MAX_K:
+        raise InputError(f"alphabet size k must be at most {MAX_K}, got {k}")
     require_same_length(a, b)
     check_symbols(a, k)
     check_symbols(b, k)

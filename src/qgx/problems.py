@@ -24,10 +24,11 @@ from .genotypes import (
     random_symbol_vector,
 )
 from .graphs import edges_of, random_adjacency
+from .grouping import MAX_K
 from .sequences import GAP, check_sequence, edit_distance_to, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
 
-MAX_TSP_CITIES = 2000  # the leg table of 1000 cities takes 32 MB
+MAX_NODES = 2000  # an instance holds an n x n table; the TSP leg table of 1000 cities takes 32 MB
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,11 @@ class Problem:
             raise InputError(f"unknown family {self.family!r}")
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InputError(f"{name} must be at most {maximum}, got {value}")
 
 
 def _is_number(value) -> bool:
@@ -73,8 +76,8 @@ def partitioning_problem(
     balance_weight: float = 1.0,
 ) -> Problem:
     """Balanced k-way partitioning: cut size plus quadratic imbalance."""
-    _check_count("nodes", nodes, 1)
-    _check_count("groups", groups, 1)
+    _check_count("nodes", nodes, 1, MAX_NODES)
+    _check_count("groups", groups, 1, MAX_K)
     _check_probability("edge_prob", edge_prob)
     _check_count("instance_seed", instance_seed, 0)
     _check_finite("balance_weight", balance_weight)
@@ -110,8 +113,8 @@ def coloring_problem(
     instance_seed: int = 0,
 ) -> Problem:
     """Graph coloring: count of monochromatic edges."""
-    _check_count("nodes", nodes, 1)
-    _check_count("colors", colors, 1)
+    _check_count("nodes", nodes, 1, MAX_NODES)
+    _check_count("colors", colors, 1, MAX_K)
     _check_probability("edge_prob", edge_prob)
     _check_count("instance_seed", instance_seed, 0)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
@@ -134,12 +137,10 @@ def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
     """Euclidean TSP on cities drawn uniformly from the unit square.
 
     The instance holds a cities x cities leg table, so `cities` is capped
-    at `MAX_TSP_CITIES` (about 4M table floats); a larger count raises
+    at `MAX_NODES` (about 4M table floats); a larger count raises
     InputError before the table is built.
     """
-    _check_count("cities", cities, 3)
-    if cities > MAX_TSP_CITIES:
-        raise InputError(f"cities must be at most {MAX_TSP_CITIES}, got {cities}")
+    _check_count("cities", cities, 3, MAX_NODES)
     _check_count("instance_seed", instance_seed, 0)
     rng = np.random.default_rng(instance_seed)
     legs = leg_lengths(tuple((float(x), float(y)) for x, y in rng.random((cities, 2))))

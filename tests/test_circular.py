@@ -177,7 +177,8 @@ class TestAgainstRotationScan:
 
 
 class TestNormalizeBoth:
-    """Both orders from one vote pass (Hamming) or two scans (swap)."""
+    """Both orders from one distance list: one vote pass (Hamming) or one
+    scan of the n rotations (swap)."""
 
     @staticmethod
     def _pairs(rng, sizes, count):
@@ -193,6 +194,22 @@ class TestNormalizeBoth:
         sizes = list(range(12)) + ([100] if base == "hamming" else [])
         for x, y in self._pairs(rng, sizes, 30):
             assert normalize_both(x, y, base) == (normalize(x, y, base), normalize(y, x, base))
+
+    def test_swap_scans_the_rotations_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return swap_distance(a, b)
+
+        monkeypatch.setitem(BASE_METRICS, "swap", counted)
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 7, 20):
+            x, y = random_perm(rng, n), random_perm(rng, n)
+            expected = normalize(x, y, "swap"), normalize(y, x, "swap")
+            calls.clear()
+            assert normalize_both(x, y, "swap") == expected
+            assert len(calls) == n
 
     def test_repeated_values(self):
         rng = np.random.default_rng(14)

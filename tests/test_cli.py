@@ -76,6 +76,11 @@ class TestDistance:
     def test_label_out_of_alphabet(self, capsys):
         assert cli.main(["distance", "--family", "grouping", "--k", "2", "1 3", "2 1"]) == 2
 
+    @pytest.mark.parametrize("command", ["distance", "normalize", "crossover"])
+    def test_alphabet_above_the_k_cap_exit_two(self, capsys, command):
+        assert cli.main([command, "--family", "grouping", "--k", "101", "1 2", "2 1"]) == 2
+        assert capsys.readouterr().err == "error: alphabet size k must be at most 100, got 101\n"
+
     @pytest.mark.parametrize("command", ["distance", "normalize"])
     def test_empty_permutation_exit_two(self, capsys, command):
         assert cli.main([command, "--family", "circular", "", ""]) == 2
@@ -457,6 +462,35 @@ class TestGa:
         config = self._write_config(tmp_path, problem={"name": "tsp", "cities": 2001})
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: cities must be at most 2000, got 2001\n"
+
+    @pytest.mark.parametrize("name", ["partitioning", "coloring"])
+    def test_graph_above_the_node_cap_exit_two_before_the_graph(self, capsys, tmp_path,
+                                                                 monkeypatch, name):
+        def no_graph(n, edge_prob, rng):
+            raise AssertionError(f"graph of {n} nodes built")
+
+        monkeypatch.setattr(problems, "random_adjacency", no_graph)
+        config = self._write_config(tmp_path, problem={"name": name, "nodes": 2001})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: nodes must be at most 2000, got 2001\n"
+
+    @pytest.mark.parametrize("name,field", [("partitioning", "groups"), ("coloring", "colors")])
+    def test_groups_above_the_k_cap_exit_two(self, capsys, tmp_path, name, field):
+        config = self._write_config(tmp_path, problem={"name": name, field: 101})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be at most 100, got 101\n"
+
+    def test_selection_draw_above_the_cap_exit_two_before_the_run(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        def no_run(problem, config):
+            raise AssertionError(f"GA of population {config.population} started")
+
+        monkeypatch.setattr(cli, "run_ga", no_run)
+        config = self._write_config(tmp_path, population=2**19 + 2, tournament=2)
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: population x tournament must be at most 1048576, got 524290 x 2\n"
+        )
 
     def test_unwritable_output_exit_three(self, capsys, tmp_path):
         config = self._write_config(tmp_path)

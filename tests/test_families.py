@@ -1,6 +1,8 @@
 """Registry contract: every family entry honours the same laws, and the
 CLI, the suites and problem validation all read the one mapping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,10 +73,12 @@ TIED_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name", [name for name in NAMES if FAMILIES[name].normalize_both])
-def test_normalize_both_equals_two_single_normalize_calls(name):
+@pytest.mark.parametrize("name,metric", [
+    (name, metric) for name in NAMES if FAMILIES[name].normalize_both for metric in FAMILIES[name].metrics
+])
+def test_normalize_both_equals_two_single_normalize_calls(name, metric):
     family = FAMILIES[name]
-    opts = family.suite
+    opts = dataclasses.replace(family.suite, metric=metric)
     pairs = _pairs(family, 40, 5) + TIED_PAIRS[name]
     pairs += [(x, x) for x, _ in pairs[:10]]
     for x, y in pairs:

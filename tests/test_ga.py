@@ -55,6 +55,8 @@ class TestConfigValidation:
         ("tournament", ga.MAX_TOURNAMENT + 1),
         # rejected before any run: no population x tournament block is drawn
         ("tournament", 10**12),
+        # population x tournament = 2**21 entrants in one draw, over the cap
+        ("population", 2**20),
         ("mode", "hybrid"),
         ("seed", -1),
         ("seed", 2**64),
@@ -69,6 +71,10 @@ class TestConfigValidation:
     def test_bad_fields_rejected(self, field, value):
         with pytest.raises(ParameterError):
             GAConfig(**{"population": 4, "generations": 1, field: value})
+
+    def test_selection_draw_at_the_cap_accepted(self):
+        config = GAConfig(population=ga.MAX_ENTRANTS // 2, generations=1, tournament=2)
+        assert config.population * config.tournament == ga.MAX_ENTRANTS
 
     def test_integer_rates_accepted(self):
         config = GAConfig(population=4, generations=1, crossover_rate=1, mutation_rate=0)

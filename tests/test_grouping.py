@@ -80,6 +80,12 @@ class TestLiDistance:
         with pytest.raises(InputError):
             li_distance((1, 5), (1, 2), 3)
 
+    @pytest.mark.parametrize("entry", [li_distance, li_normalize, li_normalize_both])
+    def test_alphabet_cap(self, entry):
+        # the k x k table is built only after the check
+        with pytest.raises(InputError, match=r"^alphabet size k must be at most 100, got 101$"):
+            entry((1, 2), (2, 1), grouping.MAX_K + 1)
+
 
 class TestLiNormalize:
     def test_worked_example(self):
