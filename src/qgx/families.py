@@ -17,8 +17,8 @@ distance of (x*, y*), the Hamming distance of the two rows for
 sequences. The GA runs `quotient_crossover` on both orders of a parent
 pair, except where a family serves both orders from one piece of exact
 work (`normalize_both`): the sequence family's alignment forward pass,
-the grouping family's agreement table with its unique-optimum
-certificate, the circular family's one rotation-distance list and the
+the grouping family's one agreement table (`grouping.li_normalize_both`),
+the circular family's one rotation-distance list and the
 symmetric-real family's one sort of each.
 That pair step is the one place equal parents skip normalization: an
 exact normalizer returns (x, x) for them and draws nothing.

@@ -26,7 +26,7 @@ from .genotypes import (
     identity_permutation,
     random_permutation,
 )
-from .quotient import GroupAction, permutation_group
+from .quotient import GroupAction, permutation_group, permutation_table
 
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
@@ -112,15 +112,6 @@ class MatchResult(NamedTuple):
     permutation: Permutation
 
 
-@functools.cache
-def _labelings(n: int) -> np.ndarray:
-    """All n! labelings as 0-based rows, in `itertools.permutations` order."""
-    rows = list(itertools.permutations(range(n)))
-    table = np.array(rows, dtype=np.intp).reshape(len(rows), n)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
-
-
 def quotient_distance_exact(a: AdjacencyMatrix, b: AdjacencyMatrix) -> MatchResult:
     """Exhaustive minimum of H(a, relabeled b) over all n! labelings;
     first optimum in lexicographic permutation order wins ties."""
@@ -129,7 +120,7 @@ def quotient_distance_exact(a: AdjacencyMatrix, b: AdjacencyMatrix) -> MatchResu
     n = len(a)
     if n > EXACT_MATCH_CAP:
         raise SizeCapError(f"exact matching capped at n={EXACT_MATCH_CAP}, got n={n}")
-    p = _labelings(n)
+    p = permutation_table(n)
     relabeled = np.array(b, dtype=np.int8).reshape(n, n)[p[:, :, None], p[:, None, :]]
     dists = (relabeled != np.array(a, dtype=np.int8).reshape(n, n)).sum(axis=(1, 2))
     best = int(dists.argmin())  # argmin keeps the first minimum

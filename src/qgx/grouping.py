@@ -5,31 +5,36 @@ encodings describe the same grouping. Relabeling by any permutation of
 the alphabet is a Hamming isometry, and the induced quotient distance is
 the labeling-independent distance: the smallest Hamming distance over
 all relabelings of the second vector. Finding the optimal relabeling is
-an assignment problem on the k x k label co-occurrence matrix, solved in
-O(k^3) instead of enumerating k! candidates.
+an assignment problem on the k x k label co-occurrence table, which
+`li_normalize` and `li_distance` solve by Hungarian in O(k^3).
 
-`li_normalize_both` serves both orders of a GA pair from one table and
-runs Hungarian only when a cheap certificate fails: if every b-label row
-of the table has a strict maximum and those columns are distinct, that
-relabeling is the unique optimum. Any exact solver returns a unique
-optimum, so skipping Hungarian keeps its tie rule, which decides only
-among tied optima. A unique optimum for (a, b) inverts to the unique
-optimum for (b, a); without a certificate on the table or its
-transpose, each order runs Hungarian on its own table. The single-order
-`li_normalize` and `li_distance` always run Hungarian: at the verify
-suites' size (n=6, k=4) about one random table in 120 certifies, so
-there the check would mostly be extra work.
+`li_normalize_both` serves both orders of a GA pair from one table. Up
+to `SCAN_K` labels it scores all k! relabelings on that table. A strict
+minimum is the unique optimum, the one Hungarian or any exact solver
+returns, and its inverse is the unique optimum of the transpose, the
+table of (b, a). On a tie, and always above `SCAN_K`, each order runs
+Hungarian on its own table: its tie rule on the transpose need not
+invert its choice on the table. The single-order calls skip the scan: at
+the verify suites' size (n=6, k=4) only about a third of the tables have
+a unique optimum.
 """
 
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 from .assignment import hungarian
 from .errors import InputError
 from .genotypes import Permutation, SymbolVector, check_symbols, compose_permutations, invert_permutation
 from .metrics import require_same_length
-from .quotient import GroupAction, permutation_group
+from .quotient import GroupAction, permutation_group, permutation_table
 
 MAX_K = 100  # each pair builds a k x k table, and Hungarian on it is O(k^3)
+# Scoring the k! relabelings (timeit, 2 CPUs): 10 us at k=4 against 17-22 us for
+# one Hungarian, 23 against 28-37 us at k=5, 104 against 38 us at k=6.
+SCAN_K = 4  # the largest k of the configs and the bench, where GA pairs gained
 
 
 def relabel(a: SymbolVector, sigma: Permutation) -> SymbolVector:
@@ -60,18 +65,19 @@ def _cost_table(a: SymbolVector, b: SymbolVector, k: int) -> list[list[int]]:
     return cost
 
 
-def _certified(cost: list[list[int]]) -> Permutation | None:
-    """The assignment taking each row to its strict minimum, when those
-    columns are all distinct, else None. No assignment costs less than the
-    sum of the row minima and only this one reaches it, so it is the
-    unique optimum, the one Hungarian or any exact solver returns."""
-    sigma = []
-    for row in cost:
-        low = min(row)
-        if row.count(low) > 1:
-            return None
-        sigma.append(row.index(low) + 1)
-    return tuple(sigma) if len(set(sigma)) == len(sigma) else None
+@functools.cache
+def _scan_table(k: int) -> tuple[np.ndarray, tuple[Permutation, ...]]:
+    """S_k: each relabeling's k cells in the flattened k x k table, and the relabelings, 1-based."""
+    p = permutation_table(k)
+    return p + np.arange(0, k * k, k), tuple(map(tuple, (p + 1).tolist()))
+
+
+def _unique_optimum(cost: list[list[int]]) -> Permutation | None:
+    """The relabeling of least total cost when no other one ties it, else None."""
+    cells, relabelings = _scan_table(len(cost))
+    scores = np.ravel(cost)[cells].sum(axis=1).tolist()
+    low = min(scores)
+    return relabelings[scores.index(low)] if scores.count(low) == 1 else None
 
 
 def li_distance(a: SymbolVector, b: SymbolVector, k: int) -> int:
@@ -89,23 +95,13 @@ def li_normalize(a: SymbolVector, b: SymbolVector, k: int) -> SymbolVector:
 
 
 def li_normalize_both(a: SymbolVector, b: SymbolVector, k: int) -> tuple[SymbolVector, SymbolVector]:
-    """(li_normalize(a, b, k), li_normalize(b, a, k)) from one cost table,
-    whose transpose is the table of (b, a).
-
-    A certificate on either table serves both orders. Without one, each
-    order runs Hungarian on its own table: with ties, its choice on the
-    transpose need not invert its choice on the table.
-    """
+    """(li_normalize(a, b, k), li_normalize(b, a, k)) from one cost table
+    by the module's rule; k = 0 reaches Hungarian, which rejects it."""
     _check_pair(a, b, k)
     cost = _cost_table(a, b, k)
-    sigma = _certified(cost)
-    if sigma:  # k = 0 gives (); Hungarian rejects its empty table, as in li_normalize
-        tau = invert_permutation(sigma)
+    sigma = _unique_optimum(cost) if 0 < k <= SCAN_K else None
+    if sigma is None:
+        sigma, tau = hungarian(cost)[0], hungarian(list(zip(*cost)))[0]
     else:
-        transpose = list(zip(*cost))
-        tau = _certified(transpose)
-        if tau:
-            sigma = invert_permutation(tau)
-        else:
-            sigma, tau = hungarian(cost)[0], hungarian(transpose)[0]
+        tau = invert_permutation(sigma)
     return tuple([sigma[x - 1] for x in b]), tuple([tau[x - 1] for x in a])

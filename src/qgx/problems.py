@@ -163,7 +163,7 @@ def symmetric_problem(
         raise InputError(
             f"unknown symmetric function {function!r}; choose from {sorted(SYMMETRIC_FUNCTIONS)}"
         )
-    _check_count("length", length, 1)
+    _check_count("length", length, 1, MAX_NODES)  # the genotype cap of every other problem
     _check_finite("low", low)
     _check_finite("high", high)
     # finite bounds can still be too far apart for a float

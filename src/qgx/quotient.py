@@ -18,10 +18,13 @@ is carried as any representative plus the action.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from .errors import InputError, OrbitTooLargeError
 from .genotypes import Permutation, identity_permutation, invert_permutation
@@ -77,6 +80,14 @@ def permutation_group(
         compose=compose,
         inverse=invert_permutation,
     )
+
+
+@functools.cache
+def permutation_table(n: int) -> np.ndarray:
+    """All n! permutations as 0-based index rows, in `itertools.permutations` order."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)  # n = 0: one empty row
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def orbit(x: Point, action: GroupAction) -> frozenset:

@@ -474,6 +474,16 @@ class TestGa:
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: nodes must be at most 2000, got 2001\n"
 
+    def test_symmetric_above_the_length_cap_exit_two_before_the_run(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        def no_vector(n, rng, low, high):
+            raise AssertionError(f"vector of length {n} drawn")
+
+        monkeypatch.setattr(problems, "random_real_vector", no_vector)
+        config = self._write_config(tmp_path, problem={"name": "symmetric", "length": 2001})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: length must be at most 2000, got 2001\n"
+
     @pytest.mark.parametrize("name,field", [("partitioning", "groups"), ("coloring", "colors")])
     def test_groups_above_the_k_cap_exit_two(self, capsys, tmp_path, name, field):
         config = self._write_config(tmp_path, problem={"name": name, field: 101})

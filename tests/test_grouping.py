@@ -9,6 +9,7 @@ from qgx import grouping
 from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
 from qgx.families import FAMILIES, Options
+from qgx.genotypes import invert_permutation
 from qgx.grouping import li_distance, li_normalize, li_normalize_both, relabel
 from qgx.metrics import hamming_distance
 
@@ -178,9 +179,9 @@ def _unused_labels_pair(rng, n=8, k=5):
 
 class TestLiNormalizeBoth:
     def _branch(self, a, b, k):
-        cost = grouping._cost_table(a, b, k)
-        transpose = list(zip(*cost))
-        return (grouping._certified(cost) is not None, grouping._certified(transpose) is not None)
+        if k > grouping.SCAN_K:
+            return "above SCAN_K"
+        return "tied" if grouping._unique_optimum(grouping._cost_table(a, b, k)) is None else "unique"
 
     def test_equals_two_single_calls_on_every_branch(self):
         rng = np.random.default_rng(20)
@@ -198,8 +199,7 @@ class TestLiNormalizeBoth:
                 expected = (li_normalize(a, b, k), li_normalize(b, a, k))
                 assert li_normalize_both(a, b, k) == expected
                 branches[self._branch(a, b, k)] += 1
-        # forward only, transpose only, both, neither
-        assert set(branches) == {(True, False), (False, True), (True, True), (False, False)}
+        assert set(branches) == {"unique", "tied", "above SCAN_K"}
         assert min(branches.values()) >= 10
 
     def test_tied_and_equal_pairs(self):
@@ -207,6 +207,26 @@ class TestLiNormalizeBoth:
                  ((2, 2, 1, 3), (2, 2, 1, 3)), ((1,), (1,))]
         for a, b in pairs:
             assert li_normalize_both(a, b, 4) == (li_normalize(a, b, 4), li_normalize(b, a, 4))
+
+    def test_hungarian_only_on_ties(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost)
+            return hungarian(cost)
+
+        monkeypatch.setattr(grouping, "hungarian", counted)
+        # b-label 1 meets a-labels 1 and 2 twice each, and both a-labels meet
+        # b-label 1 most, so no row-minimum rule settles the table or its
+        # transpose; yet the swap agrees on 3 positions, the identity on 2
+        unique = ((1, 1, 2, 2, 1), (1, 1, 1, 1, 2))
+        tied = ((1, 1), (1, 2))
+        for (a, b), expected_calls in ((unique, 0), (tied, 2)):
+            expected = (li_normalize(a, b, 2), li_normalize(b, a, 2))
+            calls.clear()
+            assert li_normalize_both(a, b, 2) == expected
+            assert len(calls) == expected_calls
+        assert li_normalize_both(*unique, 2) == ((2, 2, 2, 2, 1), (2, 2, 1, 1, 2))
 
     def test_checks_the_pair(self):
         with pytest.raises(DimensionError):
@@ -217,44 +237,38 @@ class TestLiNormalizeBoth:
             li_normalize_both((), (), 0)
 
 
-class TestCertificate:
-    """The certified relabeling is the unique optimum, so Hungarian returns it."""
+class TestUniqueOptimum:
+    """The scan returns the unique optimum, the one Hungarian returns, and None on a tie."""
 
     @staticmethod
     def _pin(cost):
-        sigma = grouping._certified(cost)
+        sigma = grouping._unique_optimum(cost)
+        optima = minimum_assignments(cost)
+        assert sigma == (optima[0] if len(optima) == 1 else None)
         if sigma is not None:
-            assert minimum_assignments(cost) == [sigma]
             assert hungarian(cost)[0] == sigma
         return sigma
 
-    def test_random_tables(self):
-        rng = np.random.default_rng(21)
-        certified = 0
+    @pytest.mark.parametrize("high,seed", [(12, 21), (3, 22)])  # few values make ties
+    def test_random_tables(self, high, seed):
+        rng = np.random.default_rng(seed)
+        found = Counter()
         for _ in range(400):
-            k = int(rng.integers(2, 6))
-            cost = [[-int(c) for c in row] for row in rng.integers(0, 12, size=(k, k))]
-            certified += self._pin(cost) is not None
-        assert certified > 50
+            k = int(rng.integers(1, grouping.SCAN_K + 1))
+            cost = [[-int(c) for c in row] for row in rng.integers(0, high, size=(k, k))]
+            found[self._pin(cost) is None] += 1
+        assert min(found[True], found[False]) >= 10
+
+    def test_small_tables(self):
         assert self._pin([[-7]]) == (1,)
+        assert self._pin([[-2, -2], [-1, 0]]) == (2, 1)  # tied rows, unique optimum
+        assert self._pin([[-1, 0], [-1, 0]]) is None
+        assert self._pin([[0, 0], [0, 0]]) is None
 
-    def test_tables_with_ties(self):
-        rng = np.random.default_rng(22)
-        for _ in range(300):
-            k = int(rng.integers(2, 6))
-            cost = [[-int(c) for c in row] for row in rng.integers(0, 3, size=(k, k))]
-            sigma = self._pin(cost)
-            if any(row.count(min(row)) > 1 for row in cost):
-                assert sigma is None
-        # distinct strict row minima certify; a shared column or a tied row does not
-        assert grouping._certified([[-3, -1], [0, -2]]) == (1, 2)
-        assert grouping._certified([[-3, -1], [-2, 0]]) is None
-        assert grouping._certified([[-1, -1], [0, -2]]) is None
-
-    def test_ga_tables_against_hungarian_and_enumeration(self):
+    def test_ga_tables_and_their_transposes(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             a, b = _ga_like_pair(rng)
             cost = grouping._cost_table(a, b, 4)
-            self._pin(cost)
-            self._pin(list(zip(*cost)))
+            sigma = self._pin(cost)
+            assert self._pin(list(zip(*cost))) == (sigma and invert_permutation(sigma))
