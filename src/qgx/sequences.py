@@ -12,13 +12,13 @@ alignment (homologous crossover) keeps offspring on tight edit-distance
 triangles between the parents.
 
 A GA crosses each parent pair in both orders, so `optimal_align_both`
-returns both alignments from one forward pass. The table of t against
-s is the transpose of the table of s against t, and the forward pass
-keeps each column's vertical (Pv, Mv) and horizontal (Ph, Mh) delta
-words. The transposed backtrace walks the same cells of s against t,
-reading the same columns, and breaks ties in its own frame (match >
-substitute > delete > insert, where its delete drops a letter of t), so
-it returns exactly `optimal_align(t, s)`.
+returns both alignments from one forward pass: the table of t against
+s is the transpose of the table of s against t, so the delta words kept
+for s against t serve both backtraces. The two tie orders (match >
+substitute > delete > insert, each in its own frame) differ only at a
+cell where both the up and the left predecessor are optimal and the
+diagonal is not, so the two walks share every step up to the first
+such cell and fork there; most GA pairs meet none and take one walk.
 """
 
 from __future__ import annotations
@@ -70,6 +70,10 @@ def _distance(peq: dict[str, int], full: int, t: str) -> int:
     `optimal_align` (`_columns`) without the stored columns, and the
     score is read from the final column: D[m][n] = n + popcount(Pv) -
     popcount(Mv), where m = len(s) and n = len(t).
+
+    Complements are XORs with full, not `~`, so every word stays
+    non-negative (CPython's faster int path); bits 0..m-1 are the same,
+    and no step or read uses the others.
     """
     pv, mv = full, 0
     for ch in t:
@@ -77,9 +81,9 @@ def _distance(peq: dict[str, int], full: int, t: str) -> int:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         # row 0 holds D[0][j] = j, so its horizontal delta is always +1
-        ph = ((mv | ~(xh | pv)) << 1) | 1
+        ph = ((mv | ((xh | pv) ^ full)) << 1) | 1
         mh = (pv & xh) << 1
-        pv = (mh | ~(xv | ph)) & full
+        pv = (mh | ((xv | ph) ^ full)) & full
         mv = ph & xv
     return len(t) + pv.bit_count() - mv.bit_count()
 
@@ -110,9 +114,10 @@ def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
     """The forward pass of `_distance`, keeping columns 0..len(t) of
     the table of s against t as (Pv, Mv, Ph, Mh) delta words.
 
-    Bit r of Pv_j, Mv_j is D[r+1][j] - D[r][j] = +1 or -1; Ph_j, Mh_j are
-    shifted so that bit r is D[r][j] - D[r][j-1] = +1 or -1, for rows
-    r = 0..len(s). Column 0 holds Pv = all ones and no horizontal deltas.
+    Bit r of Pv_j (Mv_j) is set where D[r+1][j] - D[r][j] is +1 (-1); Ph_j,
+    Mh_j are shifted so that bit r marks D[r][j] - D[r][j-1] the same way,
+    for rows r = 0..len(s). Column 0 holds Pv = all ones and Ph = Mh = 0.
+    Every word is non-negative (see `_distance`).
     """
     check_sequence(s)
     check_sequence(t)
@@ -124,18 +129,18 @@ def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = ((mv | ~(xh | pv)) << 1) | 1
+        ph = ((mv | ((xh | pv) ^ full)) << 1) | 1
         mh = (pv & xh) << 1
-        pv = (mh | ~(xv | ph)) & full
+        pv = (mh | ((xv | ph) ^ full)) & full
         mv = ph & xv
         cols.append((pv, mv, ph, mh))
     return cols
 
 
-def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
+def _backtrace(s: str, t: str, cols: list, fork: tuple | None = None) -> tuple:
     """The two rows of an optimal alignment of s and t, walked back from
     D[m][n] (m = len(s), n = len(t)) over the columns `_columns(s, t)`
-    kept.
+    kept, and the walk's state at its first delete/insert tie.
 
     Where s[i-1] == t[j-1], unit costs force D[i][j] == D[i-1][j-1] (the
     match lemma), so a match step reads no bits at all. A mismatch cell
@@ -144,20 +149,28 @@ def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
     Pv/Mv, D[i-1][j-1] bit i-1 of its Ph/Mh, and D[i][j-1] is D[i][j] - 1
     where bit i of its Ph is set. Only D[m][n] takes popcounts. Ties
     resolve match > substitute > drop a letter of s (delete) > drop a
-    letter of t (insert), the order of `optimal_align(s, t)`; with
-    t_first the last two swap, the order of `optimal_align(t, s)` (see
-    `optimal_align_both`). The rows are spliced from slices of s and t
-    around the recorded gaps.
+    letter of t (insert), the order of `optimal_align(s, t)`. The rows
+    are spliced from slices of s and t around the recorded gaps.
+
+    A tie is a mismatch cell whose diagonal is not at D[i][j] - 1 but
+    whose up and left predecessors both are. The walk records its state
+    at the first tie it meets (None if it meets none). Given that state
+    as fork, the walk resumes there with delete and insert swapped, the
+    order of `optimal_align(t, s)` (see `optimal_align_both`).
     """
     m, n = len(s), len(t)
-    pv, mv, _, _ = cols[n]
-    here = n + pv.bit_count() - mv.bit_count()
-    # row pieces in reverse order; s[:left_end] and t[:right_end] are
-    # not yet placed
-    left: list[str] = []
-    right: list[str] = []
-    left_end, right_end = m, n
-    i, j = m, n
+    if fork is None:
+        pv, mv, _, _ = cols[n]
+        here = n + pv.bit_count() - mv.bit_count()
+        # row pieces in reverse order; s[:left_end] and t[:right_end] are
+        # not yet placed
+        left: list[str] = []
+        right: list[str] = []
+        i, j, left_end, right_end = m, n, m, n
+    else:
+        i, j, here, left, right, left_end, right_end = fork
+        left, right = left[:], right[:]
+    t_first = fork is not None
     while i and j:
         r = i - 1
         if s[r] == t[j - 1]:
@@ -168,7 +181,9 @@ def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
         up = here + 1 - (pv >> r & 1) + (mv >> r & 1)
         if up - (ph >> r & 1) + (mh >> r & 1) == here:
             i, j = r, j - 1
-        elif (not ph >> i & 1) if t_first else up == here:
+        elif up == here and not (t_first and ph >> i & 1):
+            if fork is None and ph >> i & 1:
+                fork = (i, j, here + 1, left[:], right[:], left_end, right_end)
             right += (t[j:right_end], GAP)
             i, right_end = r, j
         else:
@@ -178,7 +193,7 @@ def _backtrace(s: str, t: str, cols: list, t_first: bool) -> tuple[str, str]:
     # one of i, j is 0: the rest is all deletes or all inserts
     left += (s[:left_end], GAP * j)
     right += (t[:right_end], GAP * i)
-    return "".join(reversed(left)), "".join(reversed(right))
+    return ("".join(reversed(left)), "".join(reversed(right))), fork
 
 
 def optimal_align(s: str, t: str) -> Alignment:
@@ -194,23 +209,27 @@ def optimal_align(s: str, t: str) -> Alignment:
     columns of four ints of about m bits (m = len(s), n = len(t)), where
     a full table takes (m + 1)(n + 1) Python ints.
     """
-    return Alignment(*_backtrace(s, t, _columns(s, t), False))
+    return Alignment(*_backtrace(s, t, _columns(s, t))[0])
 
 
 def optimal_align_both(s: str, t: str) -> tuple[Alignment, Alignment]:
-    """(optimal_align(s, t), optimal_align(t, s)) from one forward pass.
+    """(optimal_align(s, t), optimal_align(t, s)) from one forward pass
+    and, on most pairs, one backtrace walk.
 
-    The table of t against s is the transpose of the table of s against
-    t, so the columns kept for s against t serve both backtraces. The
-    second walks the same cells with the tie order of `optimal_align(t,
-    s)` in that call's own frame (match > substitute > delete > insert,
-    where its delete drops a letter of t); its one extra read is bit i of
-    column j's Ph, set when D[i][j-1] is D[i][j] - 1. Its rows come out
-    in the order (s, t) and are swapped.
+    The columns kept for s against t serve both orders (the table of t
+    against s is their transpose). Walked in s against t's frame,
+    `optimal_align(t, s)` breaks delete/insert ties the other way, and
+    that is the only step where its walk can differ: a cell where both
+    the up and the left predecessor are optimal and the diagonal is not.
+    So the second walk resumes from the state the first one recorded at
+    its first such cell, and a pair with none gets the first walk's rows
+    for both orders. The rows of the second order come out as (s, t) and
+    are swapped.
     """
     cols = _columns(s, t)
-    s_row, t_row = _backtrace(s, t, cols, True)
-    return Alignment(*_backtrace(s, t, cols, False)), Alignment(t_row, s_row)
+    rows, fork = _backtrace(s, t, cols)
+    s_row, t_row = rows if fork is None else _backtrace(s, t, cols, fork)[0]
+    return Alignment(*rows), Alignment(t_row, s_row)
 
 
 def tail_padded_crossover(s: str, t: str, rng: np.random.Generator) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qgx import sequences
 from qgx.errors import InputError
 from qgx.families import FAMILIES, Options
 from qgx.metrics import hamming_distance
@@ -78,6 +79,49 @@ def _assert_valid_moved_pairs(s, t):
         assert (GAP, GAP) not in zip(left, right)
         assert (unstretch(left), unstretch(right)) == (a, b)
         assert (left, right) == normalize(a, b, Options(), None)
+
+
+def _assert_columns_contract(s, t):
+    """Every column `_columns` keeps holds the deltas of the full table in
+    the bits its docstring names, and every word is non-negative."""
+    dp = dp_edit_table(s, t)
+    cols = sequences._columns(s, t)
+    assert len(cols) == len(t) + 1
+    for j, (pv, mv, ph, mh) in enumerate(cols):
+        assert min(pv, mv, ph, mh) >= 0
+        assert not pv & mv
+        for r in range(len(s)):
+            assert (pv >> r & 1) - (mv >> r & 1) == dp[r + 1][j] - dp[r][j]
+        if j:
+            for r in range(len(s) + 1):
+                assert not ph >> r & mh >> r & 1
+                assert (ph >> r & 1) - (mh >> r & 1) == dp[r][j] - dp[r][j - 1]
+
+
+def _sibling_pairs(seed, count):
+    """Pairs shaped like the GA's parent pairs: two copies of one random
+    50-letter ancestor over "acgt", each after 0-40 random edits."""
+    rng = np.random.default_rng(seed)
+
+    def edited(s):
+        t = list(s)
+        for _ in range(int(rng.integers(0, 41))):
+            pos = int(rng.integers(0, len(t) + 1))
+            letter = "acgt"[int(rng.integers(0, 4))]
+            op = int(rng.integers(0, 3))
+            if op == 0 or pos == len(t):
+                t.insert(pos, letter)
+            elif op == 1:
+                del t[pos]
+            else:
+                t[pos] = letter
+        return "".join(t)
+
+    pairs = []
+    for _ in range(count):
+        ancestor = "".join("acgt"[int(i)] for i in rng.integers(0, 4, size=50))
+        pairs.append((edited(ancestor), edited(ancestor)))
+    return pairs
 
 
 class _AllFirstRng:
@@ -181,6 +225,14 @@ class TestOptimalAlign:
                 if s[i - 1] == t[j - 1]:
                     assert dp[i][j] == dp[i - 1][j - 1]
 
+    @given(text_pairs())
+    def test_columns_hold_the_table_deltas(self, pair):
+        _assert_columns_contract(*pair)
+
+    @given(close_pairs())
+    def test_columns_of_close_pairs_hold_the_table_deltas(self, pair):
+        _assert_columns_contract(*pair)
+
     def test_long_close_pair(self):
         rng = np.random.default_rng(9)
         s = "".join("acgt"[c] for c in rng.integers(0, 4, size=400))
@@ -245,6 +297,25 @@ class TestOptimalAlign:
             forward, reverse = optimal_align_both(s, t)
             assert (forward.left, forward.right) == dp_optimal_align(s, t)
             assert (reverse.left, reverse.right) == dp_optimal_align(t, s)
+
+    def test_one_walk_until_the_first_tie(self, monkeypatch):
+        # the orders' walks differ only from the first delete/insert tie on:
+        # a pair whose two alignments are one path takes one walk, any
+        # other pair a second walk resumed at the fork
+        walks = []
+        backtrace = sequences._backtrace
+        monkeypatch.setattr(sequences, "_backtrace", lambda *args: walks.append(args) or backtrace(*args))
+        seen = {1: 0, 2: 0}
+        for s, t in _sibling_pairs(23, 120):
+            walks.clear()
+            forward, reverse = optimal_align_both(s, t)
+            forward_dp, reverse_dp = dp_optimal_align(s, t), dp_optimal_align(t, s)
+            assert (forward.left, forward.right) == forward_dp
+            assert (reverse.left, reverse.right) == reverse_dp
+            assert len(walks) == (1 if reverse_dp[::-1] == forward_dp else 2)
+            seen[len(walks)] += 1
+            assert (forward, reverse) == (optimal_align(s, t), optimal_align(t, s))
+        assert min(seen.values()) >= 10
 
     def test_both_orders_check_their_inputs(self):
         with pytest.raises(InputError):
