@@ -4,7 +4,8 @@ Tournament selection, one elite carried per generation, per-operator
 random streams derived from a single master seed; fitness evaluation
 consumes no randomness, so runs are bit-reproducible from (problem,
 config). Raw and quotient modes consume identical evaluation budgets,
-which keeps paired comparisons fair.
+which keeps paired comparisons fair: every offspring counts as one
+evaluation, also one that takes a parent's score instead of a fitness call.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     """Run the GA; deterministic for a fixed (problem, config) pair.
 
     Selection draws a generation's population x tournament entrants at
-    once; rows 2i, 2i + 1 serve pair i, each won by its first entrant of least fitness."""
+    once; rows 2i, 2i + 1 serve pair i, each won by its first entrant of least fitness.
+    An offspring equal to a parent of its own pair (its own parent is
+    checked first) takes that parent's score without a fitness call;
+    `Problem` states why equal genotypes score equal. It still counts as
+    an evaluation, so both modes spend population x (generations + 1)."""
     xover = crossover_operator(problem, config.mode)
     alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
 
@@ -164,7 +169,8 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     stats = []
     for gen in range(1, config.generations + 1):
         entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
-        parents = [population[min(row, key=fitness.__getitem__)] for row in entrants]
+        winners = [min(row, key=fitness.__getitem__) for row in entrants]
+        parents = [population[i] for i in winners]
         offspring = []
         for p1, p2 in zip(parents[::2], parents[1::2]):
             crossed = rng_cx.random() < config.crossover_rate
@@ -173,7 +179,9 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
             mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
             for c in offspring
         ]
-        fits = [problem.fitness(g) for g in offspring]
+        known = [fitness[i] for i in winners]
+        fits = [known[q] if c == parents[q] else known[q ^ 1] if c == parents[q ^ 1] else problem.fitness(c)
+                for q, c in enumerate(offspring)]
         evaluations += size
 
         best_i = min(range(size), key=fits.__getitem__)

@@ -24,7 +24,11 @@ pin the draws of the sized draw that replaced it, and
 kept to pin the leg-table sum bit for bit. `scalar_tournament` is the
 GA's former selection, one scalar draw per entrant, kept to pin the
 parents and the draws of the one sized draw per generation that
-replaced it.
+replaced it. `run_ga_scoring_every_offspring` is the GA's former loop,
+on the library's crossover step and mutation, which called the fitness
+on every offspring; it pins the results of the loop that gives an
+offspring equal to a parent of its pair that parent's score, and it
+counts those offspring.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import numpy as np
 
 from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
-from qgx.families import FAMILIES, Options
+from qgx.families import FAMILIES, SEQUENCE_ALPHABET, Options
+from qgx.ga import GenerationStats, RunResult, crossover_operator, mutate
 from qgx.genotypes import FIRST
 from qgx.graphs import AdjacencyMatrix
 from qgx.quotient import GroupAction
@@ -270,6 +275,49 @@ def scalar_tournament(fitness: list[float], size: int, rng: np.random.Generator)
         if best is None or fitness[i] < fitness[best]:
             best = i
     return best
+
+
+def run_ga_scoring_every_offspring(problem, config) -> tuple[RunResult, int]:
+    """`run_ga` with one fitness call per offspring (wall time left at
+    0), and the number of offspring equal to a parent of their own pair."""
+    xover = crossover_operator(problem, config.mode)
+    alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
+
+    size = config.population
+    population = [problem.initializer(rng_init) for _ in range(size)]
+    fitness = [problem.fitness(g) for g in population]
+    evaluations = size
+    elite_i = min(range(size), key=fitness.__getitem__)
+    elite, elite_fit = population[elite_i], fitness[elite_i]
+
+    stats, repeats = [], 0
+    for gen in range(1, config.generations + 1):
+        entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
+        parents = [population[min(row, key=fitness.__getitem__)] for row in entrants]
+        offspring = []
+        for p1, p2 in zip(parents[::2], parents[1::2]):
+            crossed = rng_cx.random() < config.crossover_rate
+            offspring.extend(xover(p1, p2, rng_cx) if crossed else (p1, p2))
+        offspring = [
+            mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
+            for c in offspring
+        ]
+        repeats += sum(c == parents[q] or c == parents[q ^ 1] for q, c in enumerate(offspring))
+        fits = [problem.fitness(g) for g in offspring]
+        evaluations += size
+
+        best_i = min(range(size), key=fits.__getitem__)
+        if fits[best_i] <= elite_fit:
+            elite, elite_fit = offspring[best_i], fits[best_i]
+        else:
+            worst_i = max(range(size), key=fits.__getitem__)
+            offspring[worst_i], fits[worst_i] = elite, elite_fit
+        population, fitness = offspring, fits
+        stats.append(GenerationStats(gen, elite_fit, sum(fits) / size, evaluations))
+
+    return RunResult(tuple(stats), elite, elite_fit, evaluations, wall_time=0.0), repeats
 
 
 def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:

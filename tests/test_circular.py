@@ -347,6 +347,8 @@ class TestTourLength:
             dataclasses.replace(problem, fitness=fitness),
             GAConfig(population=30, generations=30, mode=mode, seed=1),
         )
-        assert len(evaluated) > 30 * 30
+        # an offspring equal to a parent of its pair takes the parent's
+        # score, so about a third of the 900 offspring reach the fitness
+        assert len(evaluated) > 30 * 8
         for tour in evaluated:
             assert problem.fitness(tour) == coordinate_tour_length(tour, coords)

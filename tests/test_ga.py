@@ -29,7 +29,13 @@ from qgx.problems import (
 )
 from qgx.sequences import edit_distance
 
-from oracles import adjacency, scalar_tournament, two_call_crossover_operator
+from oracles import (
+    adjacency,
+    run_ga_scoring_every_offspring,
+    scalar_tournament,
+    two_call_crossover_operator,
+)
+from test_golden import GA_PROBLEMS, ga_config
 
 
 def _tiny_config(**overrides):
@@ -249,6 +255,59 @@ class TestPairCrossoverStep:
         assert len(calls) == config.generations * pairs_per_generation
 
 
+def _same_run(result, expected):
+    assert result.stats == expected.stats
+    assert result.best_genotype == expected.best_genotype
+    assert result.best_fitness == expected.best_fitness
+    assert result.evaluations == expected.evaluations
+
+
+# the benchmark's problems at reduced budgets
+BENCH_SHAPED = {
+    "tsp": (lambda: random_tsp_problem(cities=100, instance_seed=4242), 20, 10),
+    "sequence": (lambda: sequence_problem("".join(
+        "acgt"[i] for i in np.random.default_rng(4242).integers(0, 4, size=100))), 20, 8),
+    "partitioning": (lambda: partitioning_problem(nodes=60, groups=4, edge_prob=0.08,
+                                                  instance_seed=4242), 20, 10),
+    "symmetric": (lambda: symmetric_problem("sum_of_squares", length=40), 20, 10),
+}
+
+
+class TestParentScoreReuse:
+    """An offspring equal to a parent of its own pair takes that parent's
+    score instead of a fitness call; everything else is as before."""
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    @pytest.mark.parametrize("name", list(GA_PROBLEMS))
+    def test_golden_runs_equal_the_run_scoring_every_offspring(self, name, mode):
+        problem, config = GA_PROBLEMS[name](), ga_config(name, mode)
+        _same_run(run_ga(problem, config), run_ga_scoring_every_offspring(problem, config)[0])
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    @pytest.mark.parametrize("name", list(BENCH_SHAPED))
+    def test_bench_shaped_runs_equal_the_run_scoring_every_offspring(self, name, mode):
+        make, population, generations = BENCH_SHAPED[name]
+        problem = make()
+        for seed in (0, 1):
+            config = GAConfig(population=population, generations=generations, mode=mode, seed=seed)
+            _same_run(run_ga(problem, config), run_ga_scoring_every_offspring(problem, config)[0])
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    def test_fitness_calls_skip_exactly_the_offspring_equal_to_a_parent(self, mode):
+        problem = random_tsp_problem(cities=30, instance_seed=1)
+        config = GAConfig(population=30, generations=20, mode=mode, seed=3)
+        calls = []
+
+        def counting(tour):
+            calls.append(tour)
+            return problem.fitness(tour)
+
+        run_ga(dataclasses.replace(problem, fitness=counting), config)
+        _, repeats = run_ga_scoring_every_offspring(problem, config)
+        budget = config.population * (config.generations + 1)
+        assert len(calls) == budget - repeats < budget
+
+
 def _selection_problem(tied):
     # with tied, fitness takes only the values -1, 0 and 1, so most
     # tournaments hold entrants of equal fitness
@@ -402,7 +461,9 @@ class TestProblemBuilding:
 
         for mode in ("raw", "quotient"):
             run_ga(dataclasses.replace(problem, fitness=recording), GAConfig(population=20, generations=4, mode=mode, seed=1))
-        assert len(candidates) == 2 * 20 * 5
+        # both initial populations, and at most one call per offspring: an
+        # offspring equal to a parent of its pair takes the parent's score
+        assert 2 * 20 < len(candidates) <= 2 * 20 * 5
         for s in candidates + [target]:
             assert problem.fitness(s) == float(edit_distance(s, target))
 

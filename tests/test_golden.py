@@ -157,14 +157,16 @@ GA_PROBLEMS = {
 }
 
 
+def ga_config(name: str, mode: str) -> GAConfig:
+    return GAConfig(population=8, generations=3 if name == "graph-heuristic" else 6,
+                    crossover_rate=0.9, mutation_rate=0.2, tournament=2, mode=mode, seed=5)
+
+
 def record_ga() -> dict:
     record = {}
     for name, make in GA_PROBLEMS.items():
-        generations = 3 if name == "graph-heuristic" else 6
         for mode in ("raw", "quotient"):
-            config = GAConfig(population=8, generations=generations, crossover_rate=0.9,
-                              mutation_rate=0.2, tournament=2, mode=mode, seed=5)
-            result = run_ga(make(), config)
+            result = run_ga(make(), ga_config(name, mode))
             record[f"{name} {mode}"] = {
                 "best_series": [repr(s.best) for s in result.stats],
                 "mean_series": [repr(s.mean) for s in result.stats],
