@@ -191,7 +191,10 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
             worst_i = max(range(size), key=fits.__getitem__)
             offspring[worst_i], fits[worst_i] = elite, elite_fit
         population, fitness = offspring, fits
-        stats.append(GenerationStats(gen, elite_fit, sum(fits) / size, evaluations))
+        total = 0.0  # left to right, not `sum()` (see `circular.tour_length`)
+        for f in fits:
+            total += f
+        stats.append(GenerationStats(gen, elite_fit, total / size, evaluations))
 
     return RunResult(
         stats=tuple(stats),

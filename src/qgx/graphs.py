@@ -31,6 +31,7 @@ from .quotient import GroupAction, permutation_group, permutation_table
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
 EXACT_MATCH_CAP = 8
+MAX_NODES = 2000  # graphs and problem instances hold n x n tables; 1000 TSP cities take 32 MB
 
 
 @functools.cache
@@ -43,6 +44,8 @@ def adjacency_from_edges(n: int, edges) -> AdjacencyMatrix:
     """The simple graph on nodes 1..n with these edges; the one n x n grid build."""
     if n < 1:
         raise InputError(f"a graph needs at least one node, got n={n}")
+    if n > MAX_NODES:
+        raise InputError(f"a graph may have at most {MAX_NODES} nodes, got n={n}")
     grid = [[0] * n for _ in range(n)]
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n) or u == v:

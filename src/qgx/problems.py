@@ -23,12 +23,10 @@ from .genotypes import (
     random_real_vector,
     random_symbol_vector,
 )
-from .graphs import edges_of, random_adjacency
+from .graphs import MAX_NODES, edges_of, random_adjacency
 from .grouping import MAX_K
 from .sequences import GAP, check_sequence, edit_distance_to, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
-
-MAX_NODES = 2000  # an instance holds an n x n table; the TSP leg table of 1000 cities takes 32 MB
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,9 @@ def partitioning_problem(
         counts = [0] * groups
         for label in g:
             counts[label - 1] += 1
-        imbalance = sum((c - target) ** 2 for c in counts)
+        imbalance = 0.0  # left to right, not `sum()` (see `circular.tour_length`)
+        for c in counts:
+            imbalance += (c - target) ** 2
         return cut + balance_weight * imbalance
 
     return Problem(

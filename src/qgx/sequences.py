@@ -12,13 +12,8 @@ alignment (homologous crossover) keeps offspring on tight edit-distance
 triangles between the parents.
 
 A GA crosses each parent pair in both orders, so `optimal_align_both`
-returns both alignments from one forward pass: the table of t against
-s is the transpose of the table of s against t, so the delta words kept
-for s against t serve both backtraces. The two tie orders (match >
-substitute > delete > insert, each in its own frame) differ only at a
-cell where both the up and the left predecessor are optimal and the
-diagonal is not, so the two walks share every step up to the first
-such cell and fork there; most GA pairs meet none and take one walk.
+returns both alignments from one forward pass and, on most pairs, one
+backtrace walk.
 """
 
 from __future__ import annotations
@@ -137,10 +132,10 @@ def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
     return cols
 
 
-def _backtrace(s: str, t: str, cols: list, fork: tuple | None = None) -> tuple:
+def _backtrace(s: str, t: str, cols: list, t_first: bool = False) -> tuple[tuple[str, str], bool]:
     """The two rows of an optimal alignment of s and t, walked back from
     D[m][n] (m = len(s), n = len(t)) over the columns `_columns(s, t)`
-    kept, and the walk's state at its first delete/insert tie.
+    kept, and whether the walk broke a delete/insert tie towards delete.
 
     Where s[i-1] == t[j-1], unit costs force D[i][j] == D[i-1][j-1] (the
     match lemma), so a match step reads no bits at all. A mismatch cell
@@ -149,28 +144,21 @@ def _backtrace(s: str, t: str, cols: list, fork: tuple | None = None) -> tuple:
     Pv/Mv, D[i-1][j-1] bit i-1 of its Ph/Mh, and D[i][j-1] is D[i][j] - 1
     where bit i of its Ph is set. Only D[m][n] takes popcounts. Ties
     resolve match > substitute > drop a letter of s (delete) > drop a
-    letter of t (insert), the order of `optimal_align(s, t)`. The rows
-    are spliced from slices of s and t around the recorded gaps.
-
-    A tie is a mismatch cell whose diagonal is not at D[i][j] - 1 but
-    whose up and left predecessors both are. The walk records its state
-    at the first tie it meets (None if it meets none). Given that state
-    as fork, the walk resumes there with delete and insert swapped, the
-    order of `optimal_align(t, s)` (see `optimal_align_both`).
+    letter of t (insert), the order of `optimal_align(s, t)`; t_first
+    swaps delete and insert, the order of `optimal_align(t, s)`. A
+    delete/insert tie is a mismatch cell whose up and left predecessors
+    are at D[i][j] - 1 and whose diagonal is not. The rows are spliced
+    from slices of s and t around the recorded gaps.
     """
     m, n = len(s), len(t)
-    if fork is None:
-        pv, mv, _, _ = cols[n]
-        here = n + pv.bit_count() - mv.bit_count()
-        # row pieces in reverse order; s[:left_end] and t[:right_end] are
-        # not yet placed
-        left: list[str] = []
-        right: list[str] = []
-        i, j, left_end, right_end = m, n, m, n
-    else:
-        i, j, here, left, right, left_end, right_end = fork
-        left, right = left[:], right[:]
-    t_first = fork is not None
+    pv, mv, _, _ = cols[n]
+    here = n + pv.bit_count() - mv.bit_count()
+    # row pieces in reverse order; s[:left_end] and t[:right_end] are not
+    # yet placed
+    left: list[str] = []
+    right: list[str] = []
+    i, j, left_end, right_end = m, n, m, n
+    tied = 0
     while i and j:
         r = i - 1
         if s[r] == t[j - 1]:
@@ -182,8 +170,7 @@ def _backtrace(s: str, t: str, cols: list, fork: tuple | None = None) -> tuple:
         if up - (ph >> r & 1) + (mh >> r & 1) == here:
             i, j = r, j - 1
         elif up == here and not (t_first and ph >> i & 1):
-            if fork is None and ph >> i & 1:
-                fork = (i, j, here + 1, left[:], right[:], left_end, right_end)
+            tied |= ph >> i & 1
             right += (t[j:right_end], GAP)
             i, right_end = r, j
         else:
@@ -193,7 +180,7 @@ def _backtrace(s: str, t: str, cols: list, fork: tuple | None = None) -> tuple:
     # one of i, j is 0: the rest is all deletes or all inserts
     left += (s[:left_end], GAP * j)
     right += (t[:right_end], GAP * i)
-    return ("".join(reversed(left)), "".join(reversed(right))), fork
+    return ("".join(reversed(left)), "".join(reversed(right))), bool(tied)
 
 
 def optimal_align(s: str, t: str) -> Alignment:
@@ -217,18 +204,15 @@ def optimal_align_both(s: str, t: str) -> tuple[Alignment, Alignment]:
     and, on most pairs, one backtrace walk.
 
     The columns kept for s against t serve both orders (the table of t
-    against s is their transpose). Walked in s against t's frame,
-    `optimal_align(t, s)` breaks delete/insert ties the other way, and
-    that is the only step where its walk can differ: a cell where both
-    the up and the left predecessor are optimal and the diagonal is not.
-    So the second walk resumes from the state the first one recorded at
-    its first such cell, and a pair with none gets the first walk's rows
-    for both orders. The rows of the second order come out as (s, t) and
-    are swapped.
+    against s is their transpose). Walked in s against t's frame, the
+    two orders differ only in how they break a delete/insert tie, so a
+    pair whose first walk broke none gets that walk's rows for both
+    orders, and any other pair takes a second, t_first walk from the
+    end. Its rows come out as (s, t) and are swapped.
     """
     cols = _columns(s, t)
-    rows, fork = _backtrace(s, t, cols)
-    s_row, t_row = rows if fork is None else _backtrace(s, t, cols, fork)[0]
+    rows, tied = _backtrace(s, t, cols)
+    s_row, t_row = _backtrace(s, t, cols, True)[0] if tied else rows
     return Alignment(*rows), Alignment(t_row, s_row)
 
 

@@ -84,7 +84,7 @@ def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
     sampler = fam.sampler()
     rng = np.random.default_rng(seed)
     qdist = fam.quotient_distance(fam.suite, rng)
-    tally = _Tally(f"segment[{family}]")
+    tally = _Tally(f"segment[{family}]", trials)
     for _ in range(trials):
         x, y = sampler(rng), sampler(rng)
         z = offspring_fn(x, y, rng)
@@ -96,8 +96,6 @@ def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
 
 
 def run_suite(suite: str, family: str, trials: int, seed: int) -> list[VerificationReport]:
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     if suite == "metric":
         return [metric_suite(family, trials, seed)]
     if suite == "group":

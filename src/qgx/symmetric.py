@@ -100,10 +100,14 @@ def quotient_hamming(x: SymbolVector, y: SymbolVector) -> int:
 
 
 # Reductions run over sorted values so invariance under coordinate
-# shuffles is exact, not merely up to float reassociation.
+# shuffles is exact, not merely up to float reassociation, and add left
+# to right in `+=` loops, not `sum()` (see `circular.tour_length`).
 
 def _sum_of_squares(x) -> float:
-    return float(sum(v * v for v in sorted(x)))
+    total = 0.0
+    for v in sorted(x):
+        total += v * v
+    return float(total)
 
 
 def _product(x) -> float:
@@ -118,7 +122,10 @@ def _value_range(x) -> float:
 
 
 def _sorted_poly(x) -> float:
-    return float(sum((i + 1) * v for i, v in enumerate(sorted(x))))
+    total = 0.0
+    for i, v in enumerate(sorted(x), 1):
+        total += i * v
+    return float(total)
 
 
 # Canonical symmetric test functions: invariant under any coordinate shuffle.

@@ -12,6 +12,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .errors import ParameterError
 from .metrics import Metric
 from .quotient import GroupAction, orbit
 
@@ -38,7 +39,11 @@ class VerificationReport:
 
 
 class _Tally:
-    def __init__(self, suite: str):
+    """A suite's check counts; fewer than one trial would report ok on no check."""
+
+    def __init__(self, suite: str, trials: int):
+        if trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {trials}")
         self.suite = suite
         self.checks = 0
         self.violations = 0
@@ -71,7 +76,7 @@ def verify_equivalence(
     needs closure; all three are checked both as set membership and by
     acting on sampled points.
     """
-    tally = _Tally(f"equivalence[{action.name}]")
+    tally = _Tally(f"equivalence[{action.name}]", trials)
     members = frozenset(action.elements)
     for _ in range(trials):
         x = sampler(rng)
@@ -104,7 +109,7 @@ def verify_isometry(
     tol: float = 0.0,
 ) -> VerificationReport:
     """d(g(x), g(y)) == d(x, y) on sampled elements and point pairs."""
-    tally = _Tally(f"isometry[{action.name}]")
+    tally = _Tally(f"isometry[{action.name}]", trials)
     for _ in range(trials):
         x, y = sampler(rng), sampler(rng)
         g = _pick(action.elements, rng)
@@ -125,7 +130,7 @@ def verify_metric_axioms(
     tol: float = 0.0,
 ) -> VerificationReport:
     """Identity, symmetry, triangle inequality on sampled triples."""
-    tally = _Tally("metric")
+    tally = _Tally("metric", trials)
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
         tally.check(abs(metric(x, x)) <= tol, lambda: f"d(x,x) != 0 for x={x!r}")
@@ -161,17 +166,10 @@ def verify_quotient_metric(
 
     Besides the axioms it checks class invariance d(x, g(y)) == d(x, y)
     and, on `pair_checks` sampled pairs, that one-sided and two-sided
-    orbit minimization agree and that `quotient_dist` equals them (orbits
-    enumerated and cached per point).
+    orbit minimization agree and that `quotient_dist` equals them (each
+    pair's two orbits enumerated once).
     """
-    tally = _Tally(f"quotient-metric[{action.name}]")
-    orbits: dict[Any, tuple] = {}
-
-    def orbit_of(p):
-        if p not in orbits:
-            orbits[p] = tuple(orbit(p, action))
-        return orbits[p]
-
+    tally = _Tally(f"quotient-metric[{action.name}]", trials)
     qd = quotient_dist
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
@@ -195,8 +193,9 @@ def verify_quotient_metric(
 
     for _ in range(pair_checks):
         x, y = sampler(rng), sampler(rng)
-        one_sided = min(metric(x, yy) for yy in orbit_of(y))
-        two_sided = min(metric(xx, yy) for xx in orbit_of(x) for yy in orbit_of(y))
+        y_orbit = orbit(y, action)
+        one_sided = min(metric(x, yy) for yy in y_orbit)
+        two_sided = min(metric(xx, yy) for xx in orbit(x, action) for yy in y_orbit)
         tally.check(
             abs(one_sided - two_sided) <= tol,
             lambda: f"one-sided {one_sided} != two-sided {two_sided} on ({x!r},{y!r})",

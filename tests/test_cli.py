@@ -104,6 +104,12 @@ class TestDistance:
         assert cli.main(["distance", "--family", "graph", str(empty), str(empty)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_graph_over_the_node_cap_exit_two(self, capsys, tmp_path):
+        big = tmp_path / "big.edges"
+        big.write_text("2001 0\n")
+        assert cli.main(["distance", "--family", "graph", str(big), str(big)]) == 2
+        assert "at most 2000 nodes, got n=2001" in capsys.readouterr().err
+
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_no_restarts_exit_two(self, capsys, restarts):
         code = cli.main(["distance", "--family", "circular", "--restarts", restarts, "1 2 3", "2 3 1"])

@@ -16,9 +16,11 @@ and say in the change why the bytes moved.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -198,6 +200,28 @@ def test_cli_outputs_match_recording(tmp_path):
 
 
 def test_ga_series_match_recording():
+    _compare(GOLDEN / "ga.json", record_ga())
+
+
+def _compensated_sum(iterable, start=0):
+    """`sum` as Python 3.12 and later compute it: float terms are added
+    with Neumaier's compensation, every other term exactly as before."""
+    total, comp = start, 0.0
+    for v in iterable:
+        if type(v) is float and type(total) in (int, float):
+            t = float(total) + v
+            comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+            total = t
+        else:
+            total = total + v
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_ga_series_do_not_depend_on_the_python_sum(monkeypatch):
+    # pyproject allows Python 3.10 on; the replay path adds floats in
+    # explicit left-to-right loops, so a compensated `sum` moves no byte
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
     _compare(GOLDEN / "ga.json", record_ga())
 
 

@@ -12,6 +12,7 @@ from qgx.families import FAMILIES, Options
 from qgx.genotypes import identity_permutation, invert_permutation, random_permutation
 from qgx.graphs import (
     EXACT_MATCH_CAP,
+    MAX_NODES,
     adjacency_from_edges,
     conjugate,
     conjugation_action,
@@ -71,6 +72,12 @@ class TestAdjacency:
     def test_edge_list_rejects_lines_past_the_count(self):
         with pytest.raises(InputError, match="announces 1 edges, found 2"):
             parse_edge_list("3 1\n1 2\n2 3\n")
+
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 100000])
+    def test_edge_list_header_over_the_node_cap(self, n):
+        # refused before the n x n grid is built
+        with pytest.raises(InputError, match=f"at most {MAX_NODES} nodes, got n={n}"):
+            parse_edge_list(f"{n} 0")
 
     def test_rejects_self_loop_edge(self):
         with pytest.raises(InputError):

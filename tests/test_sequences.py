@@ -301,7 +301,7 @@ class TestOptimalAlign:
     def test_one_walk_until_the_first_tie(self, monkeypatch):
         # the orders' walks differ only from the first delete/insert tie on:
         # a pair whose two alignments are one path takes one walk, any
-        # other pair a second walk resumed at the fork
+        # other pair a second, full (t, s)-order walk from the end
         walks = []
         backtrace = sequences._backtrace
         monkeypatch.setattr(sequences, "_backtrace", lambda *args: walks.append(args) or backtrace(*args))
@@ -313,6 +313,8 @@ class TestOptimalAlign:
             assert (forward.left, forward.right) == forward_dp
             assert (reverse.left, reverse.right) == reverse_dp
             assert len(walks) == (1 if reverse_dp[::-1] == forward_dp else 2)
+            cols = sequences._columns(s, t)
+            assert walks == [(s, t, cols), (s, t, cols, True)][:len(walks)]
             seen[len(walks)] += 1
             assert (forward, reverse) == (optimal_align(s, t), optimal_align(t, s))
         assert min(seen.values()) >= 10

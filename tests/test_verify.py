@@ -2,12 +2,15 @@
 on deliberately broken constructions."""
 
 import numpy as np
+import pytest
 
+from qgx import verify
 from qgx.circular import shift, shift_action
+from qgx.errors import ParameterError
 from qgx.genotypes import random_symbol_vector
 from qgx.grouping import relabeling_action
 from qgx.metrics import euclidean_distance, hamming_distance
-from qgx.quotient import GroupAction
+from qgx.quotient import GroupAction, orbit
 from qgx.symmetric import coordinate_action
 from qgx.verify import (
     verify_equivalence,
@@ -142,6 +145,47 @@ def test_quotient_metric_shift_group():
         pair_checks=40,
     )
     assert report.ok
+
+
+def test_quotient_metric_enumerates_two_orbits_per_pair_check(monkeypatch):
+    # no cache: each pair check enumerates orbit(y), then orbit(x), once
+    rng = np.random.default_rng(10)
+    action = shift_action(4)
+    seen = []
+    monkeypatch.setattr(verify, "orbit", lambda p, a: seen.append(p) or orbit(p, a))
+    draws = []
+
+    def sampler(r):
+        draws.append(tuple(int(v) + 1 for v in r.permutation(4)))
+        return draws[-1]
+
+    report = verify_quotient_metric(
+        action, hamming_distance, sampler, rng, 20,
+        quotient_dist=_enumerated(action, hamming_distance), pair_checks=7,
+    )
+    assert report.ok and report.checks == 4 * 20 + 2 * 7
+    pairs = draws[3 * 20:]
+    assert seen == [p for x, y in zip(pairs[::2], pairs[1::2]) for p in (y, x)]
+
+
+_SWAP_LABELS = relabeling_action(2)
+VERIFIERS = {
+    "metric": lambda n: verify_metric_axioms(hamming_distance, _symbols(3, 2), np.random.default_rng(0), n),
+    "isometry": lambda n: verify_isometry(
+        _SWAP_LABELS, hamming_distance, _symbols(3, 2), np.random.default_rng(0), n),
+    "equivalence": lambda n: verify_equivalence(_SWAP_LABELS, _symbols(3, 2), np.random.default_rng(0), n),
+    "quotient": lambda n: verify_quotient_metric(
+        _SWAP_LABELS, hamming_distance, _symbols(3, 2), np.random.default_rng(0), n,
+        quotient_dist=_enumerated(_SWAP_LABELS, hamming_distance)),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("name", VERIFIERS)
+def test_verifiers_refuse_runs_without_checks(name, trials):
+    # a run of no trials would report ok on zero checks
+    with pytest.raises(ParameterError, match=f"trials must be >= 1, got {trials}"):
+        VERIFIERS[name](trials)
 
 
 def test_report_line_format():
