@@ -38,7 +38,8 @@ def line_crossover(p1: RealVector, p2: RealVector, lam: float) -> RealVector:
     require_same_length(p1, p2)
     if not 0.0 <= lam <= 1.0:
         raise ParameterError(f"blend weight must be in [0,1], got {lam}")
-    return tuple(lam * a + (1.0 - lam) * b for a, b in zip(p1, p2))
+    mu = 1.0 - lam
+    return tuple([lam * a + mu * b for a, b in zip(p1, p2)])
 
 
 def cycle_crossover(

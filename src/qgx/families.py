@@ -211,9 +211,12 @@ def _mutate_symbols(g, rate, rng, k, alphabet):
 
 
 def _mutate_reals(g, rate, rng, k, alphabet):
-    hits = rng.random(len(g)) < rate
-    steps = rng.normal(0.0, MUTATION_SIGMA, size=len(g))
-    return tuple(v + float(steps[i]) if hits[i] else v for i, v in enumerate(g))
+    """Draw rule: n uniforms, then n normals, per call; each hit v (u < rate) moves to v + step."""
+    hits = (rng.random(len(g)) < rate).nonzero()[0].tolist()
+    out, steps = list(g), rng.normal(0.0, MUTATION_SIGMA, size=len(g))
+    for i in hits:
+        out[i] += float(steps[i])
+    return tuple(out)
 
 
 def _mutate_swap(g, rate, rng, k, alphabet):

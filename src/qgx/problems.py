@@ -38,12 +38,12 @@ class Problem:
     parent that parent's score. For float coordinates `==` conflates only
     0.0 with -0.0 (NaN equals nothing, so its score is never reused). A
     float sum is -0.0 only when both terms are -0.0, so neither the real
-    initializer (numpy's low + (high - low) * u) nor mutation (v + step,
-    with numpy's step = 0.0 + sigma * z) makes a -0.0; `line_crossover`
-    (lam * a + (1 - lam) * b) makes one only when both products
-    underflow, from subnormal parent coordinates. The bundled symmetric
-    functions tell 0.0 from -0.0 at most in the sign of a zero fitness,
-    which compares equal.
+    initializer (numpy's low + (high - low) * u) nor mutation (v + step on
+    a hit v, with numpy's step = 0.0 + sigma * z) makes a -0.0;
+    `line_crossover` (lam * a + mu * b, with mu = 1 - lam) makes one only
+    when both products underflow, from subnormal parent coordinates. The
+    bundled symmetric functions tell 0.0 from -0.0 at most in the sign of
+    a zero fitness, which compares equal.
     """
 
     name: str

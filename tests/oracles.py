@@ -14,21 +14,25 @@ simple undirected graph. `loop_random_adjacency`,
 `loop_uniform_edge_crossover` and `loop_mutate_edges` are the former
 per-cell library loops, kept to pin the rng draws of the node-pair forms
 that replaced them. `generator_random_mask` is the former per-scalar
-mask draw, kept the same way. `two_call_crossover_operator` is the GA's
-former crossover step, which ran the single-offspring operator once per
-order and normalized each time; it pins the rng draws and the results of
-the pair-level step that replaced it. `per_cycle_coin_cycle_crossover`
-is the former cycle crossover, one scalar coin draw per cycle, kept to
-pin the draws of the sized draw that replaced it, and
-`coordinate_tour_length` is the former tour length from coordinates,
-kept to pin the leg-table sum bit for bit. `scalar_tournament` is the
-GA's former selection, one scalar draw per entrant, kept to pin the
-parents and the draws of the one sized draw per generation that
-replaced it. `run_ga_scoring_every_offspring` is the GA's former loop,
-on the library's crossover step and mutation, which called the fitness
-on every offspring; it pins the results of the loop that gives an
-offspring equal to a parent of its pair that parent's score, and it
-counts those offspring.
+mask draw, kept the same way. `comprehension_mutate_reals` and
+`generator_line_crossover` are the former real-vector mutation, which
+tested every coordinate, and the former line crossover, a generator that
+recomputed 1 - lam per coordinate; they pin the draws and the bits,
+signed zeros included, of the forms that replaced them.
+`two_call_crossover_operator` is the GA's former crossover step, which
+ran the single-offspring operator once per order and normalized each
+time; it pins the rng draws and the results of the pair-level step that
+replaced it. `per_cycle_coin_cycle_crossover` is the former cycle
+crossover, one scalar coin draw per cycle, kept to pin the draws of the
+sized draw that replaced it, and `coordinate_tour_length` is the former
+tour length from coordinates, kept to pin the leg-table sum bit for bit.
+`scalar_tournament` is the GA's former selection, one scalar draw per
+entrant, kept to pin the parents and the draws of the one sized draw per
+generation that replaced it. `run_ga_scoring_every_offspring` is the
+GA's former loop, on the library's crossover step and mutation, which
+called the fitness on every offspring; it pins the results of the loop
+that gives an offspring equal to a parent of its pair that parent's
+score, and it counts those offspring.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 
 from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
-from qgx.families import FAMILIES, SEQUENCE_ALPHABET, Options
+from qgx.families import FAMILIES, MUTATION_SIGMA, SEQUENCE_ALPHABET, Options
 from qgx.ga import GenerationStats, RunResult, crossover_operator, mutate
 from qgx.genotypes import FIRST
 from qgx.graphs import AdjacencyMatrix
@@ -254,6 +258,18 @@ def loop_mutate_edges(g, rate, rng, k, alphabet):
 
 def generator_random_mask(n: int, rng: np.random.Generator) -> tuple:
     return tuple(int(b) for b in rng.integers(0, 2, size=n))
+
+
+def comprehension_mutate_reals(g, rate, rng, k, alphabet):
+    """The real family's former mutation, one test per coordinate."""
+    hits = rng.random(len(g)) < rate
+    steps = rng.normal(0.0, MUTATION_SIGMA, size=len(g))
+    return tuple(v + float(steps[i]) if hits[i] else v for i, v in enumerate(g))
+
+
+def generator_line_crossover(p1: tuple, p2: tuple, lam: float) -> tuple:
+    """The former line crossover, 1 - lam computed per coordinate."""
+    return tuple(lam * a + (1.0 - lam) * b for a, b in zip(p1, p2))
 
 
 def two_call_crossover_operator(problem, mode: str):

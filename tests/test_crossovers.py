@@ -15,6 +15,7 @@ from qgx.metrics import euclidean_distance, hamming_distance, in_segment, pair_c
 
 from oracles import (
     enumerate_cycle_offspring,
+    generator_line_crossover,
     generator_random_mask,
     per_cycle_coin_cycle_crossover,
     position_cycles,
@@ -84,6 +85,19 @@ class TestLineCrossover:
             p2 = tuple(rng.uniform(-10, 10, size=5))
             z = line_crossover(p1, p2, float(rng.random()))
             assert in_segment(p1, z, p2, euclidean_distance, tol=1e-9)
+
+    def test_matches_the_generator_form_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        # signed zeros and subnormals: both products can underflow to -0.0
+        coords = [0.0, -0.0, 5e-324, -5e-324, -1e-320, 2.5, -7.25]
+        lams = [0.0, 1.0, 0.5] + rng.random(20).tolist()
+        for n in (0, 1, 5, 40):
+            for lam in lams:
+                p1 = tuple(rng.choice(coords, size=n).tolist())
+                p2 = tuple(rng.choice(coords, size=n).tolist())
+                got = line_crossover(p1, p2, lam)
+                assert repr(got) == repr(generator_line_crossover(p1, p2, lam))
+        assert repr(line_crossover((-5e-324, -0.0), (-5e-324, -5e-324), 0.5)) == "(-0.0, -0.0)"
 
 
 NON_PERMUTATION_PAIRS = [

@@ -8,7 +8,7 @@ import pytest
 
 from qgx import ga
 from qgx.errors import InputError, ParameterError
-from qgx.families import FAMILIES
+from qgx.families import FAMILIES, MUTATION_SIGMA
 from qgx.ga import (
     GAConfig,
     config_from_dict,
@@ -31,6 +31,7 @@ from qgx.sequences import edit_distance
 
 from oracles import (
     adjacency,
+    comprehension_mutate_reals,
     run_ga_scoring_every_offspring,
     scalar_tournament,
     two_call_crossover_operator,
@@ -413,12 +414,34 @@ class TestMutate:
             assert edit_distance(s, s2) <= 1
             assert "-" not in s2
 
-    def test_real_mutation_perturbs(self):
+    def test_real_mutation_at_rate_zero_keeps_the_vector_and_still_draws(self):
+        g = random_real_vector(6, np.random.default_rng(5)) + (-0.0,)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        assert repr(mutate(g, "symmetric-real", 0.0, rng)) == repr(g)
+        ref.random(7)
+        ref.normal(0.0, MUTATION_SIGMA, size=7)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_real_mutation_at_rate_one_moves_every_coordinate(self):
         rng = np.random.default_rng(5)
-        g = random_real_vector(6, rng)
+        g = random_real_vector(40, rng)
         g2 = mutate(g, "symmetric-real", 1.0, rng)
-        assert g2 != g
-        assert len(g2) == 6
+        assert len(g2) == 40
+        assert all(a != b for a, b in zip(g, g2))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_real_mutation_matches_the_per_coordinate_form(self, rate, n):
+        source = np.random.default_rng(n)
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for trial in range(40):
+            g = tuple(source.normal(size=n).tolist())
+            if trial % 2:  # signed zeros, which repr tells apart and == does not
+                g = tuple(-0.0 if i % 3 else v for i, v in enumerate(g))
+            got = mutate(g, "symmetric-real", rate, rng)
+            assert repr(got) == repr(comprehension_mutate_reals(g, rate, ref, None, None))
+            assert all(type(v) is float for v in got)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
