@@ -42,8 +42,6 @@ def shift(p: Permutation, k: int) -> Permutation:
     if n == 0:
         return ()
     k %= n
-    if k == 0:
-        return tuple(p)
     return tuple(p[-k:]) + tuple(p[:-k])
 
 

@@ -244,15 +244,11 @@ def _mutate_edit(s, rate, rng, k, alphabet):
     op = ops[int(rng.integers(0, 3))] if s else "insert"
     if op == "delete" and len(s) <= 1:
         op = "insert"
-    if op == "insert":
-        pos = int(rng.integers(0, len(s) + 1))
-        ch = alphabet[int(rng.integers(0, len(alphabet)))]
-        return s[:pos] + ch + s[pos:]
-    pos = int(rng.integers(0, len(s)))
+    pos = int(rng.integers(0, len(s) + (op == "insert")))  # an insertion has len(s) + 1 slots
     if op == "delete":
         return s[:pos] + s[pos + 1 :]
     ch = alphabet[int(rng.integers(0, len(alphabet)))]
-    return s[:pos] + ch + s[pos + 1 :]
+    return s[:pos] + ch + s[pos + (op == "substitute") :]
 
 
 # ---------------------------------------------------------------- the registry

@@ -62,15 +62,19 @@ def edges_of(a: AdjacencyMatrix) -> tuple[tuple[int, int], ...]:
 
 def parse_edge_list(text: str) -> AdjacencyMatrix:
     """Parse the edge-list format: "n m" header, then exactly m lines "u v" (1-based)."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    lines = [(i, ln) for i, ln in enumerate((s.strip() for s in text.splitlines()), 1) if ln]
     if not lines:
         raise InputError("empty edge list")
-    try:
-        n, m = (int(x) for x in lines[0].split())
-        edges = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InputError(f"bad edge list: {exc}") from exc
-    if len(edges) != m or any(len(e) != 2 for e in edges):
+    pairs = []
+    for i, line in lines:
+        try:
+            u, v = (int(x) for x in line.split())
+        except ValueError as exc:
+            what = 'edge "u v"' if pairs else 'header "n m"'
+            raise InputError(f"edge list line {i}: {what} is not two integers: {line!r}") from exc
+        pairs.append((u, v))
+    (n, m), edges = pairs[0], pairs[1:]
+    if len(edges) != m:
         raise InputError(f"edge list announces {m} edges, found {len(edges)}")
     return adjacency_from_edges(n, edges)
 

@@ -3,7 +3,8 @@
 Each problem bundles a fitness function (always minimized), a seeded
 random initializer, and the metadata the GA needs to pick matching
 variation operators. Instances are generated from their own seed so a
-run is reproducible from the config alone.
+run is reproducible from the config alone; the two labeling problems,
+partitioning and coloring, share one random-graph instance.
 """
 
 from __future__ import annotations
@@ -81,6 +82,29 @@ def _check_finite(name: str, value) -> None:
         raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
+def _labeling_edges(label: str, nodes, k, edge_prob, instance_seed, **finite) -> list:
+    """Check a labeling problem's fields (shared ones first), then draw its 0-based edges."""
+    _check_count("nodes", nodes, 1, MAX_NODES)
+    _check_count(label, k, 1, MAX_K)
+    _check_probability("edge_prob", edge_prob)
+    _check_count("instance_seed", instance_seed, 0)
+    for field, value in finite.items():
+        _check_finite(field, value)
+    graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
+    return [(u - 1, v - 1) for u, v in edges_of(graph)]
+
+
+def _labeling_problem(kind: str, nodes: int, k: int, fitness: Callable) -> Problem:
+    return Problem(
+        name=f"{kind}(n={nodes},k={k})",
+        family="grouping",
+        fitness=fitness,
+        initializer=lambda rng: random_symbol_vector(nodes, k, rng),
+        k=k,
+        size=nodes,
+    )
+
+
 def partitioning_problem(
     nodes: int = 60,
     groups: int = 4,
@@ -89,13 +113,9 @@ def partitioning_problem(
     balance_weight: float = 1.0,
 ) -> Problem:
     """Balanced k-way partitioning: cut size plus quadratic imbalance."""
-    _check_count("nodes", nodes, 1, MAX_NODES)
-    _check_count("groups", groups, 1, MAX_K)
-    _check_probability("edge_prob", edge_prob)
-    _check_count("instance_seed", instance_seed, 0)
-    _check_finite("balance_weight", balance_weight)
-    graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
-    edges = [(u - 1, v - 1) for u, v in edges_of(graph)]
+    edges = _labeling_edges(
+        "groups", nodes, groups, edge_prob, instance_seed, balance_weight=balance_weight
+    )
     target = nodes / groups
 
     def fitness(g) -> float:
@@ -111,14 +131,7 @@ def partitioning_problem(
             imbalance += (c - target) ** 2
         return cut + balance_weight * imbalance
 
-    return Problem(
-        name=f"partitioning(n={nodes},k={groups})",
-        family="grouping",
-        fitness=fitness,
-        initializer=lambda rng: random_symbol_vector(nodes, groups, rng),
-        k=groups,
-        size=nodes,
-    )
+    return _labeling_problem("partitioning", nodes, groups, fitness)
 
 
 def coloring_problem(
@@ -128,23 +141,9 @@ def coloring_problem(
     instance_seed: int = 0,
 ) -> Problem:
     """Graph coloring: count of monochromatic edges."""
-    _check_count("nodes", nodes, 1, MAX_NODES)
-    _check_count("colors", colors, 1, MAX_K)
-    _check_probability("edge_prob", edge_prob)
-    _check_count("instance_seed", instance_seed, 0)
-    graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
-    edges = edges_of(graph)
-
-    def fitness(g) -> float:
-        return float(sum(g[u - 1] == g[v - 1] for u, v in edges))
-
-    return Problem(
-        name=f"coloring(n={nodes},k={colors})",
-        family="grouping",
-        fitness=fitness,
-        initializer=lambda rng: random_symbol_vector(nodes, colors, rng),
-        k=colors,
-        size=nodes,
+    edges = _labeling_edges("colors", nodes, colors, edge_prob, instance_seed)
+    return _labeling_problem(
+        "coloring", nodes, colors, lambda g: float(sum(g[u] == g[v] for u, v in edges))
     )
 
 
@@ -184,11 +183,10 @@ def symmetric_problem(
     # finite bounds can still be too far apart for a float
     if not low <= high or not math.isfinite(high - low):
         raise InputError(f"need finite low <= high, got low={low!r}, high={high!r}")
-    fn = SYMMETRIC_FUNCTIONS[function]
     return Problem(
         name=f"symmetric:{function}(n={length})",
         family="symmetric-real",
-        fitness=lambda x: float(fn(x)),
+        fitness=SYMMETRIC_FUNCTIONS[function],
         initializer=lambda rng: random_real_vector(length, rng, low, high),
         size=length,
     )
@@ -202,6 +200,8 @@ def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
     check_sequence(target)
     if not target or not alphabet:
         raise InputError("target and alphabet must be non-empty")
+    if len(target) > MAX_NODES:  # aligning two individuals fills a quadratic table
+        raise InputError(f"target must be at most {MAX_NODES} letters, got {len(target)}")
     if GAP in alphabet:
         raise InputError(f"alphabet may not contain the gap symbol {GAP!r}: {alphabet!r}")
     distance = edit_distance_to(target)

@@ -92,6 +92,14 @@ class TestDistance:
         assert cli.main(["normalize", "--family", "graph", str(graph), str(graph)]) == 2
         assert "announces 1 edges, found 2" in capsys.readouterr().err
 
+    def test_graph_with_a_three_integer_edge_line_exit_two(self, capsys, tmp_path):
+        graph = tmp_path / "f.edges"
+        graph.write_text("2 1\n1 2 3\n")
+        assert cli.main(["distance", "--family", "graph", str(graph), str(graph)]) == 2
+        assert capsys.readouterr().err == (
+            """error: edge list line 2: edge "u v" is not two integers: '1 2 3'\n"""
+        )
+
     def test_graph_with_repeated_edge_exit_two(self, capsys, tmp_path):
         graph = tmp_path / "f.edges"
         graph.write_text("3 2\n1 2\n2 1\n")
@@ -489,6 +497,20 @@ class TestGa:
         config = self._write_config(tmp_path, problem={"name": "symmetric", "length": 2001})
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: length must be at most 2000, got 2001\n"
+
+    def test_sequence_above_the_target_cap_exit_two_before_the_run(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        def no_distance(target):
+            raise AssertionError(f"distance to a target of {len(target)} letters built")
+
+        def no_sequence(max_len, alphabet, rng):
+            raise AssertionError(f"sequence of up to {max_len} letters drawn")
+
+        monkeypatch.setattr(problems, "edit_distance_to", no_distance)
+        monkeypatch.setattr(problems, "random_sequence", no_sequence)
+        config = self._write_config(tmp_path, problem={"name": "sequence", "target": "a" * 2001})
+        assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: target must be at most 2000 letters, got 2001\n"
 
     @pytest.mark.parametrize("name,field", [("partitioning", "groups"), ("coloring", "colors")])
     def test_groups_above_the_k_cap_exit_two(self, capsys, tmp_path, name, field):

@@ -17,7 +17,7 @@ from qgx.ga import (
     run_ga,
 )
 from qgx.genotypes import random_real_vector, random_symbol_vector
-from qgx.graphs import EXACT_MATCH_CAP, random_adjacency
+from qgx.graphs import EXACT_MATCH_CAP, MAX_NODES, edges_of, random_adjacency
 from qgx.problems import (
     Problem,
     build_problem,
@@ -499,3 +499,41 @@ class TestProblemBuilding:
             g = problem.initializer(rng)
             sigma = tuple(int(v) + 1 for v in rng.permutation(3))
             assert problem.fitness(relabel(g, sigma)) == problem.fitness(g)
+
+    @pytest.mark.parametrize("nodes,k,edge_prob,instance_seed,weight", [
+        (1, 1, 0.5, 0, 1.0),
+        (7, 3, 0.4, 1, 0.75),
+        (12, 5, 0.0, 2, 2.5),
+        (20, 4, 1.0, 3, 1.0),
+        (33, 7, 0.2, 9, 0.1),
+        (60, 4, 0.08, 0, 1.0),
+    ])
+    def test_labeling_scores_follow_their_formulas(self, nodes, k, edge_prob, instance_seed,
+                                                   weight):
+        graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
+        edges = [(u - 1, v - 1) for u, v in edges_of(graph)]
+        partitioning = partitioning_problem(nodes, k, edge_prob, instance_seed, weight)
+        coloring = coloring_problem(nodes, k, edge_prob, instance_seed)
+        rng = np.random.default_rng(nodes)
+        for _ in range(20):
+            g = random_symbol_vector(nodes, k, rng)
+            imbalance = 0.0
+            for label in range(1, k + 1):
+                imbalance += (g.count(label) - nodes / k) ** 2
+            cut = sum(g[u] != g[v] for u, v in edges)
+            assert repr(partitioning.fitness(g)) == repr(cut + weight * imbalance)
+            assert repr(coloring.fitness(g)) == repr(float(sum(g[u] == g[v] for u, v in edges)))
+
+    @pytest.mark.parametrize("build,params,message", [
+        (partitioning_problem, {"instance_seed": -1, "balance_weight": "x"},
+         "instance_seed must be an integer >= 0, got -1"),
+        (coloring_problem, {"colors": 0, "edge_prob": 2},
+         "colors must be an integer >= 1, got 0"),
+    ])
+    def test_labeling_problems_report_the_first_bad_field(self, build, params, message):
+        with pytest.raises(InputError) as info:
+            build(**params)
+        assert str(info.value) == message
+
+    def test_sequence_target_at_the_cap_is_accepted(self):
+        assert sequence_problem("a" * MAX_NODES).size == MAX_NODES

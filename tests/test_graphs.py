@@ -69,6 +69,16 @@ class TestAdjacency:
         with pytest.raises(InputError):
             parse_edge_list("3\n1 2")
 
+    @pytest.mark.parametrize("text,message", [
+        ("3 1 5\n1 2\n", """edge list line 1: header "n m" is not two integers: '3 1 5'"""),
+        ("2 1\n\n1 2 3\n", """edge list line 3: edge "u v" is not two integers: '1 2 3'"""),
+        ("2 1\n1 x\n", """edge list line 2: edge "u v" is not two integers: '1 x'"""),
+    ])
+    def test_edge_list_names_the_line_that_is_not_two_integers(self, text, message):
+        with pytest.raises(InputError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
     def test_edge_list_rejects_lines_past_the_count(self):
         with pytest.raises(InputError, match="announces 1 edges, found 2"):
             parse_edge_list("3 1\n1 2\n2 3\n")
