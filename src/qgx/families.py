@@ -140,6 +140,12 @@ def _reals(text: str) -> list[float]:
         raise InputError(f"expected space-separated decimals, got {text!r}") from exc
 
 
+def _sequence(text: str) -> str:
+    if len(text) > graphs.MAX_NODES:  # normalize and crossover fill a quadratic alignment table
+        raise InputError(f"sequence must be at most {graphs.MAX_NODES} letters, got {len(text)}")
+    return sequences.check_sequence(text)
+
+
 def _spaced(g) -> str:
     return " ".join(str(v) for v in g)
 
@@ -333,7 +339,7 @@ _FAMILIES = (
     ),
     Family(
         name="sequence",
-        parse=lambda text, k: sequences.check_sequence(text),
+        parse=lambda text, k: _sequence(text),
         format=str,
         sample=lambda rng, o: sequences.random_sequence(o.size, SEQUENCE_ALPHABET, rng),
         suite=Options(size=12),

@@ -78,14 +78,14 @@ def compose_permutations(p: Permutation, q: Permutation) -> Permutation:
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return tuple(int(v) + 1 for v in rng.permutation(n))
+    return tuple([v + 1 for v in rng.permutation(n).tolist()])
 
 
 def random_symbol_vector(n: int, k: int, rng: np.random.Generator) -> SymbolVector:
-    return tuple(int(v) for v in rng.integers(1, k + 1, size=n))
+    return tuple(rng.integers(1, k + 1, size=n).tolist())
 
 
 def random_real_vector(
     n: int, rng: np.random.Generator, low: float = -5.0, high: float = 5.0
 ) -> RealVector:
-    return tuple(float(v) for v in rng.uniform(low, high, size=n))
+    return tuple(rng.uniform(low, high, size=n).tolist())

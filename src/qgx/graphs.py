@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,12 +88,11 @@ def format_edge_list(a: AdjacencyMatrix) -> str:
 
 
 def matrix_hamming(a: AdjacencyMatrix, b: AdjacencyMatrix) -> int:
-    """Cellwise Hamming distance over all n^2 cells."""
+    """Cellwise Hamming distance over all n^2 cells. Every `AdjacencyMatrix` is n x n
+    (`adjacency_from_edges` builds it), so equal row counts flatten alike."""
     if len(a) != len(b):
         raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
-    return sum(
-        ra[j] != rb[j] for ra, rb in zip(a, b) for j in range(len(a))
-    )
+    return sum(map(operator.ne, itertools.chain.from_iterable(a), itertools.chain.from_iterable(b)))
 
 
 def conjugate(a: AdjacencyMatrix, p: Permutation) -> AdjacencyMatrix:

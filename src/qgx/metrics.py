@@ -8,6 +8,7 @@ recombinations whose offspring never leave that segment.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 from .errors import DimensionError, InputError
@@ -25,11 +26,12 @@ def require_same_length(a: Sequence, b: Sequence) -> None:
 def hamming_distance(a: Sequence, b: Sequence) -> int:
     """Number of positions where a and b differ."""
     require_same_length(a, b)
-    return sum(x != y for x, y in zip(a, b))
+    return sum(map(operator.ne, a, b))
 
 
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    require_same_length(a, b)
+    if len(a) != len(b):  # the verify sweep's hottest call: no frame on the common path
+        require_same_length(a, b)
     return math.dist(a, b)
 
 

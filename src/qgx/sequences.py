@@ -43,7 +43,7 @@ def unstretch(s: str) -> str:
 def random_sequence(max_len: int, alphabet: str, rng: np.random.Generator) -> str:
     """A length uniform over 1..max_len, then that many letters uniform over alphabet."""
     n = int(rng.integers(1, max_len + 1))
-    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
+    return "".join([alphabet[i] for i in rng.integers(0, len(alphabet), size=n).tolist()])
 
 
 def _char_masks(s: str) -> dict[str, int]:

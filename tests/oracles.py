@@ -26,6 +26,14 @@ replaced it. `per_cycle_coin_cycle_crossover` is the former cycle
 crossover, one scalar coin draw per cycle, kept to pin the draws of the
 sized draw that replaced it, and `coordinate_tour_length` is the former
 tour length from coordinates, kept to pin the leg-table sum bit for bit.
+`generator_hamming` and `cellwise_matrix_hamming` are the former Hamming
+distances, a generator over zipped positions and one over the n^2 cells
+by index. The former genotype samplers, which converted each drawn
+element on its own, are `random_perm` and `random_symbols` (the test
+data helpers, with the library's draws in their own argument order),
+`generator_random_real_vector` and `generator_random_sequence`. They pin
+the values, the element types and the draws of the C-level forms that
+replaced them.
 `scalar_tournament` is the GA's former selection, one scalar draw per
 entrant, kept to pin the parents and the draws of the one sized draw per
 generation that replaced it. `run_ga_scoring_every_offspring` is the
@@ -531,4 +539,25 @@ def random_perm(rng: np.random.Generator, n: int) -> tuple:
 
 def random_string(rng: np.random.Generator, max_len: int, alphabet: str = "acgt") -> str:
     n = int(rng.integers(0, max_len + 1))
+    return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))
+
+
+def generator_hamming(a, b) -> int:
+    """Positions where a and b differ, one generator step per position (lengths checked by the caller)."""
+    return sum(x != y for x, y in zip(a, b))
+
+
+def cellwise_matrix_hamming(a: AdjacencyMatrix, b: AdjacencyMatrix) -> int:
+    """Cells where two n x n matrices differ, read cell by cell by index."""
+    return sum(ra[j] != rb[j] for ra, rb in zip(a, b) for j in range(len(a)))
+
+
+def generator_random_real_vector(
+    n: int, rng: np.random.Generator, low: float = -5.0, high: float = 5.0
+) -> tuple:
+    return tuple(float(v) for v in rng.uniform(low, high, size=n))
+
+
+def generator_random_sequence(max_len: int, alphabet: str, rng: np.random.Generator) -> str:
+    n = int(rng.integers(1, max_len + 1))
     return "".join(alphabet[int(i)] for i in rng.integers(0, len(alphabet), size=n))

@@ -118,6 +118,35 @@ class TestDistance:
         assert cli.main(["distance", "--family", "graph", str(big), str(big)]) == 2
         assert "at most 2000 nodes, got n=2001" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "grouping", "--k", "3", "--mode", "raw", "1 2", "1 2 3"],
+         "length mismatch: 2 vs 3"),
+        (["--family", "symmetric-real", "--mode", "raw", "1 2 3", "1 2"],
+         "length mismatch: 3 vs 2"),
+        (["--family", "sequence", "--metric", "hamming", "--mode", "raw", "ab", "abc"],
+         "length mismatch: 2 vs 3"),
+    ])
+    def test_length_mismatch_exit_two(self, capsys, argv, message):
+        assert cli.main(["distance", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_graph_size_mismatch_exit_two(self, capsys, tmp_path):
+        small, large = tmp_path / "small.edges", tmp_path / "large.edges"
+        small.write_text("2 1\n1 2\n")
+        large.write_text("3 1\n1 2\n")
+        code = cli.main(["distance", "--family", "graph", "--mode", "raw", str(small), str(large)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: size mismatch: 2 vs 3\n"
+
+    @pytest.mark.parametrize("command", ["distance", "normalize", "crossover"])
+    def test_sequence_letter_cap(self, capsys, command):
+        at_cap = ("acgt" * 500, "cagt" * 500)
+        assert cli.main([command, "--family", "sequence", *at_cap]) == 0
+        capsys.readouterr()
+        for pair in (("a" * 2001, "acgt"), ("acgt", "g" * 2001)):
+            assert cli.main([command, "--family", "sequence", *pair]) == 2
+            assert capsys.readouterr().err == "error: sequence must be at most 2000 letters, got 2001\n"
+
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_no_restarts_exit_two(self, capsys, restarts):
         code = cli.main(["distance", "--family", "circular", "--restarts", restarts, "1 2 3", "2 3 1"])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qgx.errors import InputError, SizeCapError
+from qgx.errors import DimensionError, InputError, SizeCapError
 from qgx.families import FAMILIES, Options
 from qgx.genotypes import identity_permutation, invert_permutation, random_permutation
 from qgx.graphs import (
@@ -32,6 +32,7 @@ from qgx.quotient import orbit
 from oracles import (
     adjacency,
     brute_graph_distance,
+    cellwise_matrix_hamming,
     loop_graph_match,
     loop_mutate_edges,
     loop_random_adjacency,
@@ -131,6 +132,23 @@ class TestEdgeDraws:
     def test_no_graph_without_nodes(self):
         with pytest.raises(InputError, match="at least one node, got n=0"):
             random_adjacency(0, 0.5, np.random.default_rng(0))
+
+
+class TestMatrixHamming:
+    def test_matches_the_cellwise_form(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            for _ in range(20):
+                a, b = random_adjacency(n, 0.5, rng), random_adjacency(n, 0.3, rng)
+                for x, y in ((a, b), (a, a), (b, conjugate(a, random_permutation(n, rng)))):
+                    d = matrix_hamming(x, y)
+                    assert d == cellwise_matrix_hamming(x, y)
+                    assert type(d) is int
+
+    def test_size_mismatch_message(self):
+        with pytest.raises(DimensionError) as caught:
+            matrix_hamming(PATH_A, adjacency_from_edges(2, [(1, 2)]))
+        assert str(caught.value) == "size mismatch: 3 vs 2"
 
 
 class TestConjugate:

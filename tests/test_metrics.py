@@ -14,7 +14,7 @@ from qgx.grouping import li_distance, li_normalize, relabel
 from qgx.metrics import euclidean_distance, hamming_distance, in_segment, swap_distance
 from qgx.symmetric import normalize_discrete, normalize_real, quotient_hamming
 
-from oracles import all_swap_distances_from, bfs_swap_distance
+from oracles import all_swap_distances_from, bfs_swap_distance, generator_hamming
 
 
 class TestHamming:
@@ -30,6 +30,19 @@ class TestHamming:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             hamming_distance((1, 2), (1, 2, 3))
+
+    def test_matches_the_generator_form(self):
+        rng = np.random.default_rng(0)
+        entries = (0, 1, 2, 0.0, -0.0, 1.0, 2.5)
+        for n in range(101):
+            a = tuple(entries[i] for i in rng.integers(0, len(entries), size=n).tolist())
+            b = tuple(entries[i] for i in rng.integers(0, len(entries), size=n).tolist())
+            s = "".join("ab"[i] for i in rng.integers(0, 2, size=n).tolist())
+            t = "".join("ab"[i] for i in rng.integers(0, 2, size=n).tolist())
+            for x, y in ((a, b), (a, a), (s, t), (s, s)):
+                d = hamming_distance(x, y)
+                assert d == generator_hamming(x, y)
+                assert type(d) is int
 
 
 class TestEuclidean:
@@ -151,6 +164,10 @@ def test_swap_axioms(data):
         (lambda: normalize_discrete((1, 2, 3), (1, 2)), DimensionError, "length mismatch: 3 vs 2"),
         (lambda: quotient_hamming((1,), ()), DimensionError, "length mismatch: 1 vs 0"),
         (lambda: line_crossover((1.0, 2.0), (1.0,), 0.5), DimensionError, "length mismatch: 2 vs 1"),
+        (lambda: hamming_distance((1, 2), (1, 2, 3)), DimensionError, "length mismatch: 2 vs 3"),
+        (lambda: hamming_distance("abc", ""), DimensionError, "length mismatch: 3 vs 0"),
+        (lambda: euclidean_distance((1.0,), (1.0, 2.0)), DimensionError, "length mismatch: 1 vs 2"),
+        (lambda: euclidean_distance((), (0.0,)), DimensionError, "length mismatch: 0 vs 1"),
     ],
 )
 def test_shared_checks_keep_every_message(call, error, message):
