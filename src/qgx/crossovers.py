@@ -8,25 +8,30 @@ normalizing the second parent.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .genotypes import FIRST, Mask, Permutation, RealVector
+from .genotypes import Mask, Permutation, RealVector
 from .metrics import pair_cycles, require_same_length
 
 
 def random_mask(n: int, rng: np.random.Generator) -> Mask:
-    """Fair coin per position."""
-    return tuple(rng.integers(0, 2, size=n).tolist())
+    """Fair coin per position: coin i is the int `u_i >= 0.5` of one
+    `rng.random(n, dtype=np.float32)`. On numpy's `Generator` that equals
+    `rng.integers(0, 2, size=n)`, state included: both spend one 32-bit
+    word per value, and the coin is its top bit."""
+    return tuple((rng.random(n, dtype=np.float32) >= 0.5).astype(np.int8).tolist())
 
 
 def mask_crossover(p1, p2, m: Mask) -> tuple:
-    """Positionwise selection: parent 1 where the mask bit is FIRST."""
+    """Positionwise selection: mask bit 0 (FIRST) copies from p1, bit 1 from p2."""
     if not len(p1) == len(p2) == len(m):
         raise DimensionError(
             f"length mismatch: parents {len(p1)}/{len(p2)}, mask {len(m)}"
         )
-    return tuple(a if bit == FIRST else b for a, b, bit in zip(p1, p2, m))
+    return tuple(map(operator.getitem, zip(p1, p2), m))
 
 
 def uniform_crossover(p1, p2, rng: np.random.Generator) -> tuple:
@@ -47,13 +52,13 @@ def cycle_crossover(
 ) -> Permutation:
     """Inherit each position-cycle wholly from one parent, by a fair coin.
 
-    Draw rule: one sized draw `rng.integers(0, 2, size=count)` for the
-    count cycles of `pair_cycles(p1, p2)`; coin c goes to cycle c (cycles
-    are numbered by smallest position), and a 1 takes p2's values on the
-    cycle. Empty parents have no cycles and draw nothing. On a numpy
-    `Generator` the sized draw yields the same coins and leaves the same
-    state as count scalar draws, one per cycle.
+    Draw rule: one `random_mask(count, rng)` for the count cycles of
+    `pair_cycles(p1, p2)`; coin c goes to cycle c (cycles are numbered by
+    smallest position), and a 1 takes p2's values on the cycle. Empty
+    parents have no cycles and draw nothing. On a numpy `Generator` this
+    yields the same coins and leaves the same state as count scalar
+    `integers(0, 2)` draws, one per cycle.
     """
     label, count = pair_cycles(p1, p2)
-    coins = rng.integers(0, 2, size=count).tolist()
-    return tuple(b if coins[c] else a for a, b, c in zip(p1, p2, label))
+    flips = random_mask(count, rng)
+    return tuple([b if flips[c] else a for a, b, c in zip(p1, p2, label)])

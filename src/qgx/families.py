@@ -205,12 +205,12 @@ def _uniform(x, y, rng):
 # ---------------------------------------------------------------- mutations
 
 def _mutate_symbols(g, rate, rng, k, alphabet):
+    """Draw rule: n uniforms, then per hit (u < rate), in index order, one
+    integers(1, k) that picks one of the other k - 1 labels."""
     if k is None or k < 2:
         return g
-    hits = rng.random(len(g)) < rate
     out = list(g)
-    for i in np.nonzero(hits)[0]:
-        # uniform over the other k-1 labels
+    for i in (rng.random(len(g)) < rate).nonzero()[0].tolist():
         v = int(rng.integers(1, k))
         out[i] = v if v < out[i] else v + 1
     return tuple(out)

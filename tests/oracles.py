@@ -14,7 +14,13 @@ simple undirected graph. `loop_random_adjacency`,
 `loop_uniform_edge_crossover` and `loop_mutate_edges` are the former
 per-cell library loops, kept to pin the rng draws of the node-pair forms
 that replaced them. `generator_random_mask` is the former per-scalar
-mask draw, kept the same way. `comprehension_mutate_reals` and
+mask draw, kept the same way; it pins the coins, the int type and the
+draws of the float32 draw that replaced it. `generator_mask_crossover`
+is the former mask crossover, a generator that compared each bit with
+`FIRST`, and `numpy_index_mutate_symbols` is the former symbol mutation,
+which walked numpy indices of the hit positions; they pin the children
+of the `map` form and the draws of the Python-int index form that
+replaced them. `comprehension_mutate_reals` and
 `generator_line_crossover` are the former real-vector mutation, which
 tested every coordinate, and the former line crossover, a generator that
 recomputed 1 - lam per coordinate; they pin the draws and the bits,
@@ -266,6 +272,23 @@ def loop_mutate_edges(g, rate, rng, k, alphabet):
 
 def generator_random_mask(n: int, rng: np.random.Generator) -> tuple:
     return tuple(int(b) for b in rng.integers(0, 2, size=n))
+
+
+def generator_mask_crossover(p1, p2, m) -> tuple:
+    """The former mask crossover: p1's item where the bit is FIRST, else p2's."""
+    return tuple(a if bit == FIRST else b for a, b, bit in zip(p1, p2, m))
+
+
+def numpy_index_mutate_symbols(g, rate, rng, k, alphabet):
+    """The former symbol mutation, over numpy indices of the hit positions."""
+    if k is None or k < 2:
+        return g
+    hits = rng.random(len(g)) < rate
+    out = list(g)
+    for i in np.nonzero(hits)[0]:
+        v = int(rng.integers(1, k))
+        out[i] = v if v < out[i] else v + 1
+    return tuple(out)
 
 
 def comprehension_mutate_reals(g, rate, rng, k, alphabet):

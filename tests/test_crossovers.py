@@ -16,12 +16,30 @@ from qgx.metrics import euclidean_distance, hamming_distance, in_segment, pair_c
 from oracles import (
     enumerate_cycle_offspring,
     generator_line_crossover,
+    generator_mask_crossover,
     generator_random_mask,
     per_cycle_coin_cycle_crossover,
     position_cycles,
     random_perm,
     random_symbols,
 )
+
+
+GENERATORS = [
+    np.random.default_rng,
+    lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    lambda seed: np.random.Generator(np.random.Philox(seed)),
+    lambda seed: np.random.Generator(np.random.SFC64(seed)),
+]
+
+
+def _state(rng):
+    """The bit generator's state with its arrays as lists, so states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(v) for key, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
 
 
 class TestMaskCrossover:
@@ -57,12 +75,32 @@ class TestMaskCrossover:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**40 + 3])
     def test_random_mask_draw_matches_the_per_scalar_form(self, seed):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n in range(201):
-            mask = random_mask(n, rng_a)
-            assert mask == generator_random_mask(n, rng_b)
-            assert all(type(bit) is int for bit in mask)
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        """The float32 coins equal `integers(0, 2, size=n)` on four bit
+        generators. Between calls each stream takes a `random()` and an
+        odd number of scalar `integers` draws, so calls also start on a
+        half-used 64-bit word."""
+        for make in GENERATORS:
+            rng_a, rng_b = make(seed), make(seed)
+            for n in range(201):
+                mask = random_mask(n, rng_a)
+                assert mask == generator_random_mask(n, rng_b)
+                assert all(type(bit) is int for bit in mask)
+                assert _state(rng_a) == _state(rng_b), (make, n)
+                for rng in (rng_a, rng_b):
+                    rng.random()
+                    for _ in range(1 + 2 * (n % 3)):
+                        rng.integers(0, 7)
+
+    def test_matches_the_generator_form(self):
+        rng = np.random.default_rng(8)
+        for n in range(101):
+            m = random_mask(n, rng)
+            p1, p2 = random_symbols(rng, n, 4), random_symbols(rng, n, 4)
+            s1, s2 = "".join(map(str, p1)), "".join(map(str, p2))
+            for a, b in ((p1, p2), (s1, s2), (list(p1), list(p2))):
+                got = mask_crossover(a, b, m)
+                assert type(got) is tuple
+                assert got == generator_mask_crossover(a, b, m), (n, a, b, m)
 
 
 class TestLineCrossover:

@@ -32,6 +32,7 @@ from qgx.sequences import edit_distance
 from oracles import (
     adjacency,
     comprehension_mutate_reals,
+    numpy_index_mutate_symbols,
     run_ga_scoring_every_offspring,
     scalar_tournament,
     two_call_crossover_operator,
@@ -441,6 +442,18 @@ class TestMutate:
             got = mutate(g, "symmetric-real", rate, rng)
             assert repr(got) == repr(comprehension_mutate_reals(g, rate, ref, None, None))
             assert all(type(v) is float for v in got)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 6, 60])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_symbol_mutation_matches_the_numpy_index_form(self, rate, n, k):
+        source = np.random.default_rng(n * k)
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(40):
+            g = random_symbol_vector(n, k, source)
+            got = mutate(g, "grouping", rate, rng, k=k)
+            assert repr(got) == repr(numpy_index_mutate_symbols(g, rate, ref, k, None))
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_bad_rate(self):

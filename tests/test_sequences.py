@@ -127,8 +127,8 @@ def _sibling_pairs(seed, count):
 class _AllFirstRng:
     """Stand-in generator whose mask bits always pick the first parent."""
 
-    def integers(self, low, high, size=None):
-        return np.zeros(size, dtype=int)
+    def random(self, size=None, dtype=np.float64):
+        return np.zeros(size, dtype=dtype)
 
 
 class TestUnstretch:
