@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import suites
+from . import graphs, suites
 from .errors import InputError, QgxError
 from .families import FAMILIES, Family, Options, format_real
 from .ga import config_from_dict, run_ga
@@ -35,8 +35,8 @@ EXIT_INTERNAL = 4
 def _pair(args) -> tuple[Family, Options, tuple]:
     """The family, its options and the two parsed parents of a pair command."""
     family = FAMILIES[args.family]
-    if args.restarts < 1:
-        raise InputError(f"--restarts must be >= 1, got {args.restarts}")
+    if not 1 <= args.restarts <= graphs.MAX_RESTARTS:
+        raise InputError(f"--restarts must be between 1 and {graphs.MAX_RESTARTS}, got {args.restarts}")
     metric = args.metric or family.default_metric
     if metric not in family.metrics:
         raise InputError(

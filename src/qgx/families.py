@@ -299,7 +299,7 @@ _FAMILIES = (
         suite=Options(size=5),
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
-        normalize=lambda x, y, o, rng: (x, symmetric.sort_match(x, y)),
+        normalize=lambda x, y, o, rng: (x, symmetric.normalize_real(x, y)[0]),
         normalize_both=lambda x, y, o, rng: _group_both(x, y, *symmetric.normalize_real_both(x, y)),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),

@@ -33,6 +33,7 @@ AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
 EXACT_MATCH_CAP = 8
 MAX_NODES = 2000  # graphs and problem instances hold n x n tables; 1000 TSP cities take 32 MB
+MAX_RESTARTS = 1000  # cap on outside input; the default is 20
 
 
 @functools.cache
@@ -163,8 +164,10 @@ def match_heuristic(
 ) -> MatchResult:
     """Hill climbing from random labelings; upper-bounds the true distance.
 
-    For a fixed rng seed, extra restarts only extend the start sequence,
-    so the best found never worsens as the budget grows.
+    The identity labeling is scored first; a restart's result replaces the
+    best at a strictly lower distance, or at an equal one when its
+    permutation is lexicographically smaller. For a fixed rng seed, extra
+    restarts only extend the start sequence, so the best never worsens.
     """
     if len(a) != len(b):
         raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")

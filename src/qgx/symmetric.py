@@ -51,11 +51,6 @@ def _matched(slots: list[int], ranks: list[int], y: RealVector) -> RealVector:
     return tuple(out)
 
 
-def sort_match(x: RealVector, y: RealVector) -> RealVector:
-    """`normalize_real`'s y* without the distance."""
-    return _matched(*_ranks(x, y), y)
-
-
 def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     """Sort-matching: i-th smallest of y moves to the slot of i-th smallest of x.
 
@@ -65,7 +60,7 @@ def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     index order, and equal y values are taken in ascending index order
     (only a signed zero, -0.0 against 0.0, shows the second rule).
     """
-    y_star = sort_match(x, y)
+    y_star = _matched(*_ranks(x, y), y)
     return y_star, euclidean_distance(x, y_star)
 
 
@@ -76,7 +71,10 @@ def normalize_real_both(x: RealVector, y: RealVector) -> tuple[RealVector, RealV
 
 
 def normalize_discrete(x: SymbolVector, y: SymbolVector) -> tuple[SymbolVector, int]:
-    """Rearrangement of y minimizing Hamming distance to x (assignment)."""
+    """Rearrangement of y minimizing Hamming distance to x, by assignment on
+    the 0/1 table with x's positions as rows and y's as columns. Among equally
+    close ones `hungarian`'s wins: rows are inserted in ascending order and
+    column ties go to the lowest index."""
     require_same_length(x, y)
     cost = [[0 if xi == yj else 1 for yj in y] for xi in x]
     assign, total = hungarian(cost)

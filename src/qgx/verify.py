@@ -17,6 +17,7 @@ from .metrics import Metric
 from .quotient import GroupAction, orbit
 
 Sampler = Callable[[np.random.Generator], Any]
+MAX_TRIALS = 10**6  # cap on outside input; the acceptance suite runs 3500
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class _Tally:
     def __init__(self, suite: str, trials: int):
         if trials < 1:
             raise ParameterError(f"trials must be >= 1, got {trials}")
+        if trials > MAX_TRIALS:
+            raise ParameterError(f"trials must be at most {MAX_TRIALS}, got {trials}")
         self.suite = suite
         self.checks = 0
         self.violations = 0
@@ -62,6 +65,19 @@ class _Tally:
 
 def _pick(elements: tuple, rng: np.random.Generator):
     return elements[int(rng.integers(0, len(elements)))]
+
+
+def _pseudometric_laws(tally: _Tally, d: Metric, x, y, z, tol: float) -> float:
+    """Check d(x,x) = 0, symmetry and the triangle inequality on one triple; return d(x, y)."""
+    tally.check(abs(d(x, x)) <= tol, lambda: f"d(x,x) != 0 for x={x!r}")
+    dxy, dyx = d(x, y), d(y, x)
+    tally.check(abs(dxy - dyx) <= tol, lambda: f"asymmetric: d({x!r},{y!r})={dxy} vs {dyx}")
+    dxz, dyz = d(x, z), d(y, z)
+    tally.check(
+        dxz <= dxy + dyz + tol,
+        lambda: f"triangle broken: d(x,z)={dxz} > {dxy}+{dyz} for x={x!r} y={y!r} z={z!r}",
+    )
+    return dxy
 
 
 def verify_equivalence(
@@ -133,20 +149,10 @@ def verify_metric_axioms(
     tally = _Tally("metric", trials)
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
-        tally.check(abs(metric(x, x)) <= tol, lambda: f"d(x,x) != 0 for x={x!r}")
-        dxy, dyx = metric(x, y), metric(y, x)
-        tally.check(
-            abs(dxy - dyx) <= tol,
-            lambda: f"asymmetric: d({x!r},{y!r})={dxy} vs {dyx}",
-        )
+        dxy = _pseudometric_laws(tally, metric, x, y, z, tol)
         tally.check(
             dxy >= 0 and (x != y or dxy <= tol),
             lambda: f"identity axiom broken on ({x!r},{y!r}): {dxy}",
-        )
-        dxz, dyz = metric(x, z), metric(y, z)
-        tally.check(
-            dxz <= dxy + dyz + tol,
-            lambda: f"triangle broken: d(x,z)={dxz} > {dxy}+{dyz} for x={x!r} y={y!r} z={z!r}",
         )
     return tally.report()
 
@@ -178,17 +184,7 @@ def verify_quotient_metric(
     qd = quotient_dist
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)
-        tally.check(abs(qd(x, x)) <= tol, lambda: f"qd(x,x) != 0 for x={x!r}")
-        dxy, dyx = qd(x, y), qd(y, x)
-        tally.check(
-            abs(dxy - dyx) <= tol,
-            lambda: f"asymmetric quotient distance on ({x!r},{y!r}): {dxy} vs {dyx}",
-        )
-        dxz, dyz = qd(x, z), qd(y, z)
-        tally.check(
-            dxz <= dxy + dyz + tol,
-            lambda: f"quotient triangle broken on x={x!r} y={y!r} z={z!r}: {dxz} > {dxy}+{dyz}",
-        )
+        dxy = _pseudometric_laws(tally, qd, x, y, z, tol)
         g = _pick(action.elements, rng)
         moved = qd(x, action.apply(g, y))
         tally.check(

@@ -153,6 +153,16 @@ class TestDistance:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_too_many_restarts_exit_two(self, capsys, tmp_path):
+        # nine-node graphs go to the heuristic matcher, which the cap keeps from starting
+        paths = [tmp_path / "a.edges", tmp_path / "b.edges"]
+        for path in paths:
+            path.write_text("9 1\n1 2\n")
+        code = cli.main(["distance", "--family", "graph", "--restarts", "1001", *map(str, paths)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: --restarts must be between 1 and 1000, got 1001\n"
+
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3
 
@@ -257,6 +267,13 @@ class TestVerify:
         code = cli.main(["verify", "--suite", "metric", "--family", "grouping", "--trials", trials])
         assert code == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["1000001", "99999999999999999999"])
+    def test_too_many_trials_exit_two(self, capsys, trials):
+        code = cli.main(["verify", "--suite", "group", "--family", "grouping", "--trials", trials])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be at most 1000000, got {trials}\n"
 
     def test_group_suite_rejected_for_sequences(self, capsys):
         code = cli.main(["verify", "--suite", "group", "--family", "sequence"])

@@ -25,10 +25,13 @@ from qgx.symmetric import (
 from oracles import (
     exhaustive_symmetric_discrete,
     exhaustive_symmetric_real,
+    minimum_assignments,
     normalize_real_assignment,
     random_perm,
     random_symbols,
+    vectorized_hungarian,
 )
+from test_families import TIED_PAIRS
 
 FIG5_X, FIG5_Y = (1.0, 4.0, 5.0), (3.0, 0.0, 6.0)
 
@@ -160,8 +163,22 @@ class TestNormalizeDiscrete:
     def test_small_worked_case(self):
         y_star, dist = normalize_discrete((1, 1, 2), (2, 2, 1))
         assert dist == 1
-        assert sorted(y_star) == [1, 2, 2]
+        assert y_star == (1, 2, 2)  # of the two closest rearrangements, the tie rule's
         assert hamming_distance((1, 1, 2), y_star) == 1
+
+    def test_tie_rule_is_the_reference_hungarians(self):
+        # low k leaves many closest rearrangements; the documented one is the
+        # reference solver's on the same 0/1 table, rows x and columns y
+        rng = np.random.default_rng(15)
+        pairs = list(TIED_PAIRS["symmetric-discrete"])
+        for _ in range(200):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+            pairs.append((random_symbols(rng, n, k), random_symbols(rng, n, k)))
+        for x, y in pairs:
+            cost = [[0 if xi == yj else 1 for yj in y] for xi in x]
+            assign, total = vectorized_hungarian(cost)
+            assert assign in minimum_assignments(cost)
+            assert normalize_discrete(x, y) == (tuple(y[j - 1] for j in assign), total)
 
     def test_matches_exhaustive(self):
         rng = np.random.default_rng(5)

@@ -188,6 +188,39 @@ def test_verifiers_refuse_runs_without_checks(name, trials):
         VERIFIERS[name](trials)
 
 
+@pytest.mark.parametrize("trials", [verify.MAX_TRIALS + 1, 10**20])
+@pytest.mark.parametrize("name", VERIFIERS)
+def test_verifiers_refuse_more_than_max_trials(name, trials):
+    with pytest.raises(ParameterError, match=f"trials must be at most 1000000, got {trials}$"):
+        VERIFIERS[name](trials)
+
+
+# broken distances on symbol vectors, each breaking one law of a pseudometric
+BROKEN_DISTANCES = {
+    "asymmetric": lambda a, b: sum(max(x - y, 0) for x, y in zip(a, b)),
+    "triangle": lambda a, b: hamming_distance(a, b) ** 2,
+    "(x,x) != 0": lambda a, b: hamming_distance(a, b) + 1,
+}
+
+
+@pytest.mark.parametrize("law", BROKEN_DISTANCES)
+def test_metric_axioms_flag_each_broken_law(law):
+    report = verify_metric_axioms(BROKEN_DISTANCES[law], _symbols(3, 2), np.random.default_rng(12), 300)
+    assert not report.ok and law in report.witness
+    assert report.checks == 4 * 300
+
+
+@pytest.mark.parametrize("law", BROKEN_DISTANCES)
+def test_quotient_metric_flags_each_broken_law(law):
+    # the trivial group keeps class invariance, so a trial fails only on the broken law
+    report = verify_quotient_metric(
+        trivial_action(), hamming_distance, _symbols(3, 2), np.random.default_rng(13), 300,
+        quotient_dist=BROKEN_DISTANCES[law], pair_checks=10,
+    )
+    assert not report.ok and law in report.witness
+    assert report.checks == 4 * 300 + 2 * 10
+
+
 def test_report_line_format():
     rng = np.random.default_rng(11)
     report = verify_metric_axioms(hamming_distance, _symbols(3, 2), rng, 10)
