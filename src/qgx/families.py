@@ -15,13 +15,9 @@ between the classes is `Family.quotient_distance`, the one place each
 family defines it; when the normalizer is exact, it equals the base
 distance of (x*, y*), the Hamming distance of the two rows for
 sequences. The GA runs `quotient_crossover` on both orders of a parent
-pair, except where a family serves both orders from one piece of exact
-work (`normalize_both`): the sequence family's alignment forward pass,
-the grouping family's one agreement table (`grouping.li_normalize_both`),
-the circular family's one rotation-distance list and the
-symmetric-real family's one sort of each.
-That pair step is the one place equal parents skip normalization: an
-exact normalizer returns (x, x) for them and draws nothing.
+pair, except where a family normalizes a generation's unequal pairs in
+one call (`normalize_pairs`), the one place equal parents skip
+normalization: an exact normalizer returns (x, x) for them and draws nothing.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -31,6 +27,7 @@ import time), so replacing a module attribute reaches every caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Any, Callable
 
 import numpy as np
@@ -92,11 +89,9 @@ class Family:
     resolve_k: Callable = lambda first, second, k: k  # alphabet size of a CLI pair, from its texts
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
-    # (x, y, opts, rng) -> (normalize(x, y), normalize(y, x)), ties included, from
-    # one piece of shared exact work that draws nothing: one alignment forward pass
-    # (sequence), one agreement table (grouping), one rotation-distance list (circular),
-    # one sort of each (symmetric-real); else None
-    normalize_both: Callable | None = None
+    # (pairs, opts) -> [(normalize(x, y), normalize(y, x)) for each pair], ties included, by
+    # exact work that draws nothing: one numpy pass (grouping, circular) or per pair; else None
+    normalize_pairs: Callable | None = None
 
     @property
     def default_metric(self) -> str:
@@ -166,9 +161,9 @@ def _base(opts: Options) -> str:
     return opts.metric or "hamming"
 
 
-def _group_both(x, y, y_star, x_star):
-    # a group family's `normalize_both` from the two moved second parents
-    return (x, y_star), (y, x_star)
+def _group_pairs(pairs, moved):
+    # a group family's `normalize_pairs` from each pair's two moved second parents
+    return [((x, y_star), (y, x_star)) for (x, y), (y_star, x_star) in zip(pairs, moved)]
 
 
 def _graph_exact(opts: Options) -> bool:
@@ -269,7 +264,7 @@ _FAMILIES = (
         metrics={"hamming": hamming_distance},
         action=lambda o: grouping.relabeling_action(o.k),
         normalize=lambda x, y, o, rng: (x, grouping.li_normalize(x, y, o.k)),
-        normalize_both=lambda x, y, o, rng: _group_both(x, y, *grouping.li_normalize_both(x, y, o.k)),
+        normalize_pairs=lambda pairs, o: _group_pairs(pairs, grouping.li_normalize_pairs(pairs, o.k)),
         quotient_distance=lambda o, rng: lambda x, y: grouping.li_distance(x, y, o.k),
         crossover=_uniform,
         mutate=_mutate_symbols,
@@ -300,7 +295,7 @@ _FAMILIES = (
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
         normalize=lambda x, y, o, rng: (x, symmetric.normalize_real(x, y)[0]),
-        normalize_both=lambda x, y, o, rng: _group_both(x, y, *symmetric.normalize_real_both(x, y)),
+        normalize_pairs=lambda pairs, o: _group_pairs(pairs, starmap(symmetric.normalize_real_both, pairs)),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
         mutate=_mutate_reals,
@@ -331,7 +326,7 @@ _FAMILIES = (
         metrics=circular.BASE_METRICS,
         action=lambda o: circular.shift_action(o.size),
         normalize=lambda x, y, o, rng: (x, circular.normalize(x, y, _base(o))),
-        normalize_both=lambda x, y, o, rng: _group_both(x, y, *circular.normalize_both(x, y, _base(o))),
+        normalize_pairs=lambda pairs, o: _group_pairs(pairs, circular.normalize_pairs(pairs, _base(o))),
         quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
         crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
         mutate=_mutate_swap,
@@ -348,7 +343,7 @@ _FAMILIES = (
         metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
         action=_no_group,
         normalize=lambda x, y, o, rng: sequences.optimal_align(x, y),
-        normalize_both=lambda x, y, o, rng: sequences.optimal_align_both(x, y),
+        normalize_pairs=lambda pairs, o: list(starmap(sequences.optimal_align_both, pairs)),
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,

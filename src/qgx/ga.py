@@ -93,37 +93,32 @@ class RunResult:
 
 
 def crossover_operator(problem: Problem, mode: str) -> Callable:
-    """The crossover step of one parent pair: (p1, p2, rng) -> the two
-    children, of (p1, p2) and of (p2, p1), by the family's base crossover
-    (raw) or `Family.quotient_crossover`, the path the CLI and the suites
-    run.
-
-    A family whose exact normalizer serves both orders from one piece of
-    work (`Family.normalize_both`: sequence alignment, grouping agreement
-    table, circular rotation-distance list, symmetric-real sort of each vector)
-    gets both moved pairs first and then runs the base crossover twice.
-    Equal parents, which tournament selection often draws, skip that
-    work: an exact normalizer returns them unmoved and draws no
-    randomness, so the rng draws are those of normalize, cross,
-    normalize, cross.
+    """The crossover step of one generation: (parents, rate, rng) -> the
+    offspring. Each pair (parents 2i, 2i + 1) in turn draws its coin
+    `rng.random() < rate` and, when crossed, yields the children of both
+    orders by the base crossover (raw) or `Family.quotient_crossover`, else
+    itself. A family with `Family.normalize_pairs` moves all unequal pairs
+    in one call first; its exact normalizers draw nothing and leave equal
+    parents unmoved, so every draw stays that of coin, normalize, cross,
+    normalize, cross. Uncrossed pairs are moved too: wasted, but no draw moves.
     """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     family = FAMILIES[problem.family]
     opts = Options(k=problem.k, size=problem.size)
-    cross = family.crossover
-    if mode == "quotient" and family.normalize_both is not None:
+    batch = family.normalize_pairs if mode == "quotient" else None
+    cross = family.quotient_crossover(opts) if mode == "quotient" and batch is None else family.crossover
 
-        def both_children(x, y, rng):
-            if x == y:
-                return cross(x, y, rng), cross(y, x, rng)
-            (x1, y1), (y2, x2) = family.normalize_both(x, y, opts, rng)
-            return cross(x1, y1, rng), cross(y2, x2, rng)
+    def step(parents, rate, rng):
+        pairs = list(zip(parents[::2], parents[1::2]))
+        moved = iter(batch([p for p in pairs if p[0] != p[1]], opts) if batch else ())
+        offspring = []
+        for x, y in pairs:
+            (x1, y1), (y2, x2) = next(moved) if batch and x != y else ((x, y), (y, x))
+            offspring += (cross(x1, y1, rng), cross(y2, x2, rng)) if rng.random() < rate else (x, y)
+        return offspring
 
-        return both_children
-    if mode == "quotient":
-        cross = family.quotient_crossover(opts)
-    return lambda x, y, rng: (cross(x, y, rng), cross(y, x, rng))
+    return step
 
 
 def mutate(
@@ -146,8 +141,9 @@ def mutate(
 def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     """Run the GA; deterministic for a fixed (problem, config) pair.
 
-    Selection draws a generation's population x tournament entrants at
-    once; rows 2i, 2i + 1 serve pair i, each won by its first entrant of least fitness.
+    Selection draws a generation's population x tournament entrants at once;
+    rows 2i, 2i + 1 serve pair i, each won by its first entrant of least
+    fitness, and one `crossover_operator` step per generation crosses the pairs.
     An offspring equal to a parent of its own pair (its own parent is
     checked first) takes that parent's score without a fitness call;
     `Problem` states why equal genotypes score equal. It still counts as
@@ -171,13 +167,9 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
         entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
         winners = [min(row, key=fitness.__getitem__) for row in entrants]
         parents = [population[i] for i in winners]
-        offspring = []
-        for p1, p2 in zip(parents[::2], parents[1::2]):
-            crossed = rng_cx.random() < config.crossover_rate
-            offspring.extend(xover(p1, p2, rng_cx) if crossed else (p1, p2))
         offspring = [
             mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
-            for c in offspring
+            for c in xover(parents, config.crossover_rate, rng_cx)
         ]
         known = [fitness[i] for i in winners]
         fits = [known[q] if c == parents[q] else known[q ^ 1] if c == parents[q ^ 1] else problem.fitness(c)

@@ -8,11 +8,12 @@ permutation entries are 1-based throughout.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from itertools import chain
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionError, InputError
 
 SymbolVector = tuple[int, ...]
 RealVector = tuple[float, ...]
@@ -59,6 +60,18 @@ def permutation(values: Iterable[int]) -> Permutation:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p
+
+
+def stack_pairs(pairs: list, check: Callable) -> np.ndarray:
+    """The pairs' genotypes as one (pairs, 2, n) int array, n the first one's length;
+    a pair of another length meets `check(x, y)`, which raises on unequal lengths."""
+    n = len(pairs[0][0]) if pairs else 0
+    for x, y in pairs:
+        if len(x) != n or len(y) != n:
+            check(x, y)
+            raise DimensionError(f"length mismatch across pairs: {n} vs {len(x)}")
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), np.intp, 2 * n * len(pairs))
+    return flat.reshape(len(pairs), 2, n)
 
 
 def identity_permutation(n: int) -> Permutation:

@@ -8,15 +8,14 @@ all relabelings of the second vector. Finding the optimal relabeling is
 an assignment problem on the k x k label co-occurrence table, which
 `li_normalize` and `li_distance` solve by Hungarian in O(k^3).
 
-`li_normalize_both` serves both orders of a GA pair from one table. Up
-to `SCAN_K` labels it scores all k! relabelings on that table. A strict
-minimum is the unique optimum, the one Hungarian or any exact solver
-returns, and its inverse is the unique optimum of the transpose, the
-table of (b, a). On a tie, and always above `SCAN_K`, each order runs
-Hungarian on its own table: its tie rule on the transpose need not
-invert its choice on the table. The single-order calls skip the scan: at
-the verify suites' size (n=6, k=4) only about a third of the tables have
-a unique optimum.
+`li_normalize_pairs` serves both orders of a generation's GA pairs from
+one count that builds every pair's table, and up to `SCAN_K` labels one
+scan of all k! relabelings of every table. A strict minimum is the unique
+optimum, the one any exact solver returns, and its inverse that of the
+transpose, the table of (b, a). A tie, or k above `SCAN_K`, runs Hungarian
+on each order's table: its tie rule on the transpose need not invert its
+choice. The single-order calls skip the scan: at the verify suites' size
+(n=6, k=4) only about a third of the tables have a unique optimum.
 """
 
 from __future__ import annotations
@@ -27,13 +26,13 @@ import numpy as np
 
 from .assignment import hungarian
 from .errors import InputError
-from .genotypes import Permutation, SymbolVector, check_symbols, compose_permutations, invert_permutation
+from .genotypes import Permutation, SymbolVector, check_symbols, compose_permutations, stack_pairs
 from .metrics import require_same_length
 from .quotient import GroupAction, permutation_group, permutation_table
 
 MAX_K = 100  # each pair builds a k x k table, and Hungarian on it is O(k^3)
-# Scoring the k! relabelings (timeit, 2 CPUs): 10 us at k=4 against 17-22 us for
-# one Hungarian, 23 against 28-37 us at k=5, 104 against 38 us at k=6.
+# Scoring the k! relabelings of a 15-pair batch (timeit, 2 CPUs): 1.1 us a table at k=4,
+# 4.0 at k=5 and 24 at k=6, against 17, 39 and 46 us for one Hungarian on one table.
 SCAN_K = 4  # the largest k of the configs and the bench, where GA pairs gained
 
 
@@ -66,18 +65,10 @@ def _cost_table(a: SymbolVector, b: SymbolVector, k: int) -> list[list[int]]:
 
 
 @functools.cache
-def _scan_table(k: int) -> tuple[np.ndarray, tuple[Permutation, ...]]:
+def _scan_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """S_k: each relabeling's k cells in the flattened k x k table, and the relabelings, 1-based."""
     p = permutation_table(k)
-    return p + np.arange(0, k * k, k), tuple(map(tuple, (p + 1).tolist()))
-
-
-def _unique_optimum(cost: list[list[int]]) -> Permutation | None:
-    """The relabeling of least total cost when no other one ties it, else None."""
-    cells, relabelings = _scan_table(len(cost))
-    scores = np.ravel(cost)[cells].sum(axis=1).tolist()
-    low = min(scores)
-    return relabelings[scores.index(low)] if scores.count(low) == 1 else None
+    return p + np.arange(0, k * k, k), p + 1
 
 
 def li_distance(a: SymbolVector, b: SymbolVector, k: int) -> int:
@@ -94,14 +85,25 @@ def li_normalize(a: SymbolVector, b: SymbolVector, k: int) -> SymbolVector:
     return tuple([sigma[x - 1] for x in b])
 
 
-def li_normalize_both(a: SymbolVector, b: SymbolVector, k: int) -> tuple[SymbolVector, SymbolVector]:
-    """(li_normalize(a, b, k), li_normalize(b, a, k)) from one cost table
-    by the module's rule; k = 0 reaches Hungarian, which rejects it."""
-    _check_pair(a, b, k)
-    cost = _cost_table(a, b, k)
-    sigma = _unique_optimum(cost) if 0 < k <= SCAN_K else None
-    if sigma is None:
-        sigma, tau = hungarian(cost)[0], hungarian(list(zip(*cost)))[0]
-    else:
-        tau = invert_permutation(sigma)
-    return tuple([sigma[x - 1] for x in b]), tuple([tau[x - 1] for x in a])
+def li_normalize_pairs(pairs: list, k: int) -> list[tuple[SymbolVector, SymbolVector]]:
+    """(li_normalize(a, b, k), li_normalize(b, a, k)) for each pair (a, b)
+    of one length, by the module's rule. A bad pair raises what
+    `_check_pair` raises; k = 0 reaches Hungarian, which rejects it."""
+    _check_pair((), (), k)  # k alone, before any k x k table
+    ab = stack_pairs(pairs, require_same_length)
+    if ab.size and (ab.min() < 1 or ab.max() > k):
+        check_symbols(ab.ravel().tolist(), k)  # names the first bad symbol, in pair order
+    count, k = len(pairs), max(k, 0)
+    codes = (ab[:, 1] - 1) * k + ab[:, 0] - 1 + (np.arange(count) * k * k)[:, None]
+    agree = np.bincount(codes.ravel(), minlength=count * k * k).reshape(count, k, k)
+    sigma, tied = np.zeros((count, k), np.intp), range(count)
+    if 0 < k <= SCAN_K:
+        cells, relabelings = _scan_table(k)
+        scores = agree.reshape(count, k * k)[:, cells].sum(axis=2)
+        sigma = relabelings[scores.argmax(axis=1)]
+        tied = ((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1).nonzero()[0].tolist()
+    tau = sigma.argsort(axis=1) + 1
+    for p in tied:
+        sigma[p], tau[p] = hungarian((-agree[p]).tolist())[0], hungarian((-agree[p].T).tolist())[0]
+    moved = np.take_along_axis(np.stack([sigma, tau], axis=1), ab[:, ::-1] - 1, axis=2)  # sigma(b), tau(a)
+    return [(tuple(b_star), tuple(a_star)) for b_star, a_star in moved.tolist()]

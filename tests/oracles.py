@@ -25,10 +25,11 @@ replaced them. `comprehension_mutate_reals` and
 tested every coordinate, and the former line crossover, a generator that
 recomputed 1 - lam per coordinate; they pin the draws and the bits,
 signed zeros included, of the forms that replaced them.
-`two_call_crossover_operator` is the GA's former crossover step, which
-ran the single-offspring operator once per order and normalized each
-time; it pins the rng draws and the results of the pair-level step that
-replaced it. `per_cycle_coin_cycle_crossover` is the former cycle
+`two_call_crossover_operator` is the GA's former crossover loop, which
+drew each pair's coin and then ran the single-offspring operator once per
+order, normalizing each time; it pins the rng draws and the results of
+the generation step that replaced it, which normalizes a generation's
+pairs in one batch before the first coin. `per_cycle_coin_cycle_crossover` is the former cycle
 crossover, one scalar coin draw per cycle, kept to pin the draws of the
 sized draw that replaced it, and `coordinate_tour_length` is the former
 tour length from coordinates, kept to pin the leg-table sum bit for bit.
@@ -304,13 +305,23 @@ def generator_line_crossover(p1: tuple, p2: tuple, lam: float) -> tuple:
 
 
 def two_call_crossover_operator(problem, mode: str):
-    """(p1, p2, rng) -> (xover(p1, p2), xover(p2, p1)), with xover the
-    family's raw crossover or its single-offspring quotient crossover."""
+    """(parents, rate, rng) -> the offspring: per pair (p1, p2) in order,
+    one coin `rng.random() < rate`, then xover(p1, p2) and xover(p2, p1)
+    when crossed, with xover the family's raw crossover or its
+    single-offspring quotient crossover; p1 and p2 when not."""
     family = FAMILIES[problem.family]
     xover = family.crossover
     if mode == "quotient":
         xover = family.quotient_crossover(Options(k=problem.k, size=problem.size))
-    return lambda x, y, rng: (xover(x, y, rng), xover(y, x, rng))
+
+    def loop(parents, rate, rng):
+        offspring = []
+        for p1, p2 in zip(parents[::2], parents[1::2]):
+            crossed = rng.random() < rate
+            offspring.extend((xover(p1, p2, rng), xover(p2, p1, rng)) if crossed else (p1, p2))
+        return offspring
+
+    return loop
 
 
 def scalar_tournament(fitness: list[float], size: int, rng: np.random.Generator) -> int:
@@ -343,13 +354,9 @@ def run_ga_scoring_every_offspring(problem, config) -> tuple[RunResult, int]:
     for gen in range(1, config.generations + 1):
         entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
         parents = [population[min(row, key=fitness.__getitem__)] for row in entrants]
-        offspring = []
-        for p1, p2 in zip(parents[::2], parents[1::2]):
-            crossed = rng_cx.random() < config.crossover_rate
-            offspring.extend(xover(p1, p2, rng_cx) if crossed else (p1, p2))
         offspring = [
             mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
-            for c in offspring
+            for c in xover(parents, config.crossover_rate, rng_cx)
         ]
         repeats += sum(c == parents[q] or c == parents[q ^ 1] for q, c in enumerate(offspring))
         fits = [problem.fitness(g) for g in offspring]

@@ -2,6 +2,7 @@
 crossover, and tour length."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from qgx.circular import (
     BASE_METRICS,
     leg_lengths,
     normalize,
-    normalize_both,
+    normalize_pairs,
     quotient_distance,
     shift,
     shift_action,
     tour_length,
 )
-from qgx.errors import DimensionError, ParameterError
+from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.ga import GAConfig, run_ga
 from qgx.metrics import hamming_distance, swap_distance
@@ -176,24 +177,32 @@ class TestAgainstRotationScan:
         assert quotient_distance((1, 1, 1), (2, 3, 2)) == 3
 
 
-class TestNormalizeBoth:
-    """Both orders from one distance list: one vote pass (Hamming) or one
-    scan of the n rotations (swap)."""
+def _both(x, y, base="hamming"):
+    """`normalize_pairs` on the one pair (x, y)."""
+    [moved] = normalize_pairs([(x, y)], base)
+    return moved
+
+
+class TestNormalizePairs:
+    """Both orders from each pair's one distance list: one vote count over
+    the whole batch (Hamming) or one scan of the n rotations per pair (swap)."""
 
     @staticmethod
-    def _pairs(rng, sizes, count):
-        for n in sizes:
-            for i in range(count):
-                x = random_perm(rng, n)
-                y = shift(x, int(rng.integers(0, n))) if i % 3 == 0 and n else random_perm(rng, n)
-                yield x, y
+    def _pairs(rng, n, count):
+        for i in range(count):
+            x = random_perm(rng, n)
+            y = shift(x, int(rng.integers(0, n))) if i % 3 == 0 and n else random_perm(rng, n)
+            yield x, y
 
     @pytest.mark.parametrize("base", sorted(BASE_METRICS))
     def test_equals_two_normalize_calls(self, base):
         rng = np.random.default_rng(13)
         sizes = list(range(12)) + ([100] if base == "hamming" else [])
-        for x, y in self._pairs(rng, sizes, 30):
-            assert normalize_both(x, y, base) == (normalize(x, y, base), normalize(y, x, base))
+        for n in sizes:
+            pairs = list(self._pairs(rng, n, 30))
+            expected = [(normalize(x, y, base), normalize(y, x, base)) for x, y in pairs]
+            assert normalize_pairs(pairs, base) == expected
+            assert [_both(x, y, base) for x, y in pairs] == expected
 
     def test_swap_scans_the_rotations_once(self, monkeypatch):
         calls = []
@@ -205,28 +214,35 @@ class TestNormalizeBoth:
         monkeypatch.setitem(BASE_METRICS, "swap", counted)
         rng = np.random.default_rng(15)
         for n in (1, 2, 7, 20):
-            x, y = random_perm(rng, n), random_perm(rng, n)
-            expected = normalize(x, y, "swap"), normalize(y, x, "swap")
+            pairs = [(random_perm(rng, n), random_perm(rng, n)) for _ in range(3)]
+            expected = [(normalize(x, y, "swap"), normalize(y, x, "swap")) for x, y in pairs]
             calls.clear()
-            assert normalize_both(x, y, "swap") == expected
-            assert len(calls) == n
+            assert normalize_pairs(pairs, "swap") == expected
+            assert len(calls) == 3 * n
 
-    def test_repeated_values(self):
+    def test_rejects_repeated_values(self):
+        # the vote count reads each city's one slot; `normalize` takes repeated
+        # values, and its vote pass counts every match (TestRotationQuotient)
         rng = np.random.default_rng(14)
         for _ in range(300):
             n = int(rng.integers(1, 13))
             x, y = random_symbols(rng, n, 3), random_symbols(rng, n, 3)
-            assert normalize_both(x, y) == (normalize(x, y), normalize(y, x))
+            if sorted(x) == sorted(y) == list(range(1, n + 1)):
+                assert _both(x, y) == (normalize(x, y), normalize(y, x))
+                continue
+            bad = x if sorted(x) != list(range(1, n + 1)) else y
+            with pytest.raises(InputError, match=re.escape(f"not a permutation of 1..{n}: {bad}")):
+                _both(x, y)
 
     def test_reverse_tie_rule(self):
         # steps 1 and 3 tie for (x, y); (y, x) ties at steps 3 and 1, and
         # takes 1, not the inverse 3 of the forward step
         x, y = (1, 2, 3, 4), (2, 1, 4, 3)
-        assert normalize_both(x, y) == ((3, 2, 1, 4), (4, 1, 2, 3))
+        assert _both(x, y) == ((3, 2, 1, 4), (4, 1, 2, 3))
         # a reversed tour of even length ties at every odd step, in both orders
         x = (1, 2, 3, 4, 5, 6)
         y = x[::-1]
-        assert normalize_both(x, y) == (shift(y, 1), shift(x, 1))
+        assert _both(x, y) == (shift(y, 1), shift(x, 1))
 
     @pytest.mark.parametrize("base", sorted(BASE_METRICS))
     def test_size_mismatch(self, base):
@@ -234,11 +250,11 @@ class TestNormalizeBoth:
             with pytest.raises(DimensionError):
                 normalize(x, y, base)
             with pytest.raises(DimensionError):
-                normalize_both(x, y, base)
+                _both(x, y, base)
 
     def test_bad_base_metric(self):
         with pytest.raises(ParameterError):
-            normalize_both((1, 2), (2, 1), "euclidean")
+            _both((1, 2), (2, 1), "euclidean")
 
 
 class TestEmptyTour:

@@ -2,12 +2,13 @@
 CLI, the suites and problem validation all read the one mapping."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from qgx import cli, ga, grouping, problems, sequences, suites
-from qgx.errors import InputError, ParameterError
+from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
 
@@ -59,7 +60,7 @@ def test_normalize_moves_within_class_and_realizes_quotient_distance(name):
 
 
 # pairs with more than one closest representative, so a GA step or a
-# `normalize_both` that broke ties differently from `normalize` would show
+# `normalize_pairs` that broke ties differently from `normalize` would show
 TIED_PAIRS = {
     "grouping": [((1, 1, 2, 2, 3, 4), (1, 2, 1, 2, 4, 3)), ((1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 1, 2))],
     "graph": [
@@ -72,24 +73,87 @@ TIED_PAIRS = {
     "sequence": [("ab", "ba"), ("aab", "abb"), ("", "acgt"), ("acgt", ""), ("", "")],
 }
 
+# suite-size pairs miss the batch's edge cases: one label (k = 1), more labels
+# than `grouping.SCAN_K` (Hungarian on every table) and the one-city tour
+EDGE_OPTIONS = {"grouping": [Options(k=1, size=6), Options(k=5, size=8)], "circular": [Options(size=1)]}
 
-@pytest.mark.parametrize("name,metric", [
-    (name, metric) for name in NAMES if FAMILIES[name].normalize_both for metric in FAMILIES[name].metrics
-])
-def test_normalize_both_equals_two_single_normalize_calls(name, metric):
+
+def _batch_cases():
+    for name in NAMES:
+        family = FAMILIES[name]
+        if family.normalize_pairs is None:
+            continue
+        for metric in family.metrics:
+            for opts in [family.suite, *EDGE_OPTIONS.get(name, [])]:
+                yield pytest.param(name, dataclasses.replace(opts, metric=metric),
+                                   id=f"{name}-{metric}-k{opts.k}-n{opts.size}")
+
+
+@pytest.mark.parametrize("name,opts", list(_batch_cases()))
+def test_normalize_pairs_equals_single_normalize_calls_in_both_orders(name, opts):
     family = FAMILIES[name]
-    opts = dataclasses.replace(family.suite, metric=metric)
-    pairs = _pairs(family, 40, 5) + TIED_PAIRS[name]
+    rng = np.random.default_rng(5)
+    pairs = [(family.sample(rng, opts), family.sample(rng, opts)) for _ in range(40)]
+    if opts == dataclasses.replace(family.suite, metric=opts.metric):
+        pairs += TIED_PAIRS[name]
     pairs += [(x, x) for x, _ in pairs[:10]]
-    for x, y in pairs:
-        expected = (family.normalize(x, y, opts, None), family.normalize(y, x, opts, None))
-        assert family.normalize_both(x, y, opts, None) == expected
+    for batch in ([], pairs[:1], pairs, pairs[::-1]):
+        expected = [(family.normalize(x, y, opts, None), family.normalize(y, x, opts, None)) for x, y in batch]
+        assert family.normalize_pairs(batch, opts) == expected
+
+
+# (family, k, good pair, bad pair, what the per-pair check raises on the bad
+# one); with k = 0 or k > MAX_K no pair is good, so the batch holds only the bad one
+BAD_PAIRS = [
+    ("grouping", 3, ((1, 2, 3), (3, 3, 1)), ((1, 2, 3), (1, 2)), DimensionError("length mismatch: 3 vs 2")),
+    ("grouping", 3, ((1, 2, 3), (3, 3, 1)), ((1, 2, 3), (1, 4, 2)), InputError("symbol 4 outside alphabet 1..3")),
+    ("grouping", 3, ((1, 2, 3), (3, 3, 1)), ((1, 0, 3), (1, 2, 2)), InputError("symbol 0 outside alphabet 1..3")),
+    ("grouping", grouping.MAX_K + 1, None, ((1, 2), (2, 1)),
+     InputError(f"alphabet size k must be at most {grouping.MAX_K}, got {grouping.MAX_K + 1}")),
+    ("grouping", 0, None, ((1, 1), (1, 2)), InputError("symbol 1 outside alphabet 1..0")),
+    ("grouping", 0, None, ((), ()), InputError("cost matrix must be a square, non-empty table of numbers")),
+    ("circular", None, ((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (1, 2)), DimensionError("size mismatch: 3 vs 2")),
+    ("circular", None, ((1, 2, 3), (2, 3, 1)), ((1, 2, 3), (1, 1, 3)),
+     InputError("not a permutation of 1..3: (1, 1, 3)")),
+    ("circular", None, ((1, 2, 3), (2, 3, 1)), ((0, 1, 2), (1, 2, 3)),
+     InputError("not a permutation of 1..3: (0, 1, 2)")),
+]
+
+
+@pytest.mark.parametrize("name,k,good,bad,error", BAD_PAIRS)
+def test_batch_raises_what_the_pair_check_raises_before_any_draw(name, k, good, bad, error):
+    family = FAMILIES[name]
+    batch = [good, bad, good] if good else [bad]
+    message = f"^{re.escape(str(error))}$"
+    for metric in family.metrics:
+        with pytest.raises(type(error), match=message):
+            family.normalize_pairs(batch, Options(k=k, metric=metric))
+    if not str(error).startswith("not a permutation"):  # `circular.normalize` takes any values
+        with pytest.raises(type(error), match=message):
+            family.normalize(*bad, Options(k=k), None)
+    if bad[0] == bad[1]:
+        return  # the GA step normalizes no equal parents
+    # the GA step makes its one batch call before the first coin
+    problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None, k=k)
+    step = ga.crossover_operator(problem, "quotient")
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(type(error), match=message):
+        step([g for pair in batch for g in pair], 1.0, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_batch_of_several_lengths_is_rejected():
+    for name, pairs in [("grouping", [((1, 2), (2, 1)), ((1, 2, 1), (2, 1, 1))]),
+                        ("circular", [((1, 2), (2, 1)), ((1, 2, 3), (2, 3, 1))])]:
+        with pytest.raises(DimensionError, match="^length mismatch across pairs: 2 vs 3$"):
+            FAMILIES[name].normalize_pairs(pairs, Options(k=2))
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_ga_pair_step_equals_two_quotient_crossover_calls(name):
     # test_ga.py compares whole GA runs; this adds tied and equal parents,
-    # where a shared pass or a skip that left the CLI's path would show
+    # where a batch or a skip that left the CLI's path would show
     family = FAMILIES[name]
     opts = family.suite
     problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None,
@@ -100,8 +164,13 @@ def test_ga_pair_step_equals_two_quotient_crossover_calls(name):
     pairs += [(x, x) for x, _ in pairs[:5]]
     for i, (x, y) in enumerate(pairs):
         rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
-        assert step(x, y, rng_a) == expected(x, y, rng_b)
+        assert step([x, y], 1.0, rng_a) == expected([x, y], 1.0, rng_b)
         assert rng_a.random() == rng_b.random()
+    # one generation of every pair, crossed and not
+    rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
+    parents = [g for pair in pairs for g in pair]
+    assert step(parents, 0.5, rng_a) == expected(parents, 0.5, rng_b)
+    assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -232,21 +232,21 @@ class TestPairCrossoverStep:
         assert result.best_genotype == expected.best_genotype
         assert states == expected_states
 
-    @pytest.mark.parametrize("rate,pairs_per_generation", [(1.0, 4), (0.0, 0)])
+    @pytest.mark.parametrize("rate", [1.0, 0.0])
     @pytest.mark.parametrize("mode", ["raw", "quotient"])
-    def test_one_operator_per_run_one_call_per_crossed_pair(self, mode, rate, pairs_per_generation,
-                                                            monkeypatch):
+    def test_one_operator_per_run_one_call_per_generation(self, mode, rate, monkeypatch):
         # a tracer that wraps crossover_operator's result times the whole
-        # crossover step of every crossed pair
+        # crossover step of every generation, batch normalization included
         made, calls = [], []
 
         def counting_operator(problem, mode):
             made.append(mode)
             operator = crossover_operator(problem, mode)
 
-            def counted(x, y, rng):
-                calls.append((x, y))
-                return operator(x, y, rng)
+            def counted(parents, rate, rng):
+                offspring = operator(parents, rate, rng)
+                calls.append((list(parents), offspring))
+                return offspring
 
             return counted
 
@@ -254,7 +254,10 @@ class TestPairCrossoverStep:
         config = _tiny_config(mode=mode, crossover_rate=rate)
         run_ga(sequence_problem("acgtta"), config)
         assert made == [mode]
-        assert len(calls) == config.generations * pairs_per_generation
+        assert len(calls) == config.generations
+        assert all(len(offspring) == config.population for _, offspring in calls)
+        if rate == 0.0:
+            assert all(offspring == parents for parents, offspring in calls)
 
 
 def _same_run(result, expected):
@@ -330,9 +333,9 @@ def test_selection_matches_the_scalar_tournament(population, tournament, tied, m
     pairs = []
 
     def recording_operator(problem, mode):
-        def record(x, y, rng):
-            pairs.append((x, y))
-            return x, y
+        def record(parents, rate, rng):
+            pairs.extend(zip(parents[::2], parents[1::2]))
+            return list(parents)
 
         return record
 

@@ -10,7 +10,7 @@ from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
 from qgx.families import FAMILIES, Options
 from qgx.genotypes import invert_permutation
-from qgx.grouping import li_distance, li_normalize, li_normalize_both, relabel
+from qgx.grouping import li_distance, li_normalize, li_normalize_pairs, relabel
 from qgx.metrics import hamming_distance
 
 from oracles import exhaustive_li_distance, minimum_assignments, random_symbols
@@ -81,7 +81,7 @@ class TestLiDistance:
         with pytest.raises(InputError):
             li_distance((1, 5), (1, 2), 3)
 
-    @pytest.mark.parametrize("entry", [li_distance, li_normalize, li_normalize_both])
+    @pytest.mark.parametrize("entry", [li_distance, li_normalize, lambda a, b, k: li_normalize_pairs([(a, b)], k)])
     def test_alphabet_cap(self, entry):
         # the k x k table is built only after the check
         with pytest.raises(InputError, match=r"^alphabet size k must be at most 100, got 101$"):
@@ -177,11 +177,35 @@ def _unused_labels_pair(rng, n=8, k=5):
     return random_symbols(rng, n, k - 2), random_symbols(rng, n, k - 1)
 
 
-class TestLiNormalizeBoth:
+def _both(a, b, k):
+    """`li_normalize_pairs` on the one pair (a, b)."""
+    [moved] = li_normalize_pairs([(a, b)], k)
+    return moved
+
+
+def _pair_of_table(agree):
+    """A pair (a, b) whose agreement table is `agree`: agree[j][i]
+    positions hold b-label j + 1 against a-label i + 1."""
+    cells = [(i + 1, j + 1) for j, row in enumerate(agree) for i, c in enumerate(row) for _ in range(c)]
+    return tuple(a for a, _ in cells), tuple(b for _, b in cells)
+
+
+def _counting_hungarian(monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(cost)
+        return hungarian(cost)
+
+    monkeypatch.setattr(grouping, "hungarian", counted)
+    return calls
+
+
+class TestLiNormalizePairs:
     def _branch(self, a, b, k):
         if k > grouping.SCAN_K:
             return "above SCAN_K"
-        return "tied" if grouping._unique_optimum(grouping._cost_table(a, b, k)) is None else "unique"
+        return "tied" if len(minimum_assignments(grouping._cost_table(a, b, k))) > 1 else "unique"
 
     def test_equals_two_single_calls_on_every_branch(self):
         rng = np.random.default_rng(20)
@@ -194,11 +218,11 @@ class TestLiNormalizeBoth:
         ]
         branches = Counter()
         for k, make in makers:
-            for _ in range(150):
-                a, b = make(rng)
-                expected = (li_normalize(a, b, k), li_normalize(b, a, k))
-                assert li_normalize_both(a, b, k) == expected
-                branches[self._branch(a, b, k)] += 1
+            pairs = [make(rng) for _ in range(150)]
+            expected = [(li_normalize(a, b, k), li_normalize(b, a, k)) for a, b in pairs]
+            assert li_normalize_pairs(pairs, k) == expected
+            assert [_both(a, b, k) for a, b in pairs] == expected
+            branches.update(self._branch(a, b, k) for a, b in pairs)
         assert set(branches) == {"unique", "tied", "above SCAN_K"}
         assert min(branches.values()) >= 10
 
@@ -206,69 +230,74 @@ class TestLiNormalizeBoth:
         pairs = [((1, 1, 2, 2, 3, 4), (1, 2, 1, 2, 4, 3)), ((1, 1, 1, 1, 1, 1), (1, 2, 3, 4, 1, 2)),
                  ((2, 2, 1, 3), (2, 2, 1, 3)), ((1,), (1,))]
         for a, b in pairs:
-            assert li_normalize_both(a, b, 4) == (li_normalize(a, b, 4), li_normalize(b, a, 4))
+            assert _both(a, b, 4) == (li_normalize(a, b, 4), li_normalize(b, a, 4))
 
     def test_hungarian_only_on_ties(self, monkeypatch):
-        calls = []
-
-        def counted(cost):
-            calls.append(cost)
-            return hungarian(cost)
-
-        monkeypatch.setattr(grouping, "hungarian", counted)
         # b-label 1 meets a-labels 1 and 2 twice each, and both a-labels meet
         # b-label 1 most, so no row-minimum rule settles the table or its
         # transpose; yet the swap agrees on 3 positions, the identity on 2
         unique = ((1, 1, 2, 2, 1), (1, 1, 1, 1, 2))
         tied = ((1, 1), (1, 2))
-        for (a, b), expected_calls in ((unique, 0), (tied, 2)):
-            expected = (li_normalize(a, b, 2), li_normalize(b, a, 2))
+        expected = {pair: (li_normalize(*pair, 2), li_normalize(*pair[::-1], 2)) for pair in (unique, tied)}
+        calls = _counting_hungarian(monkeypatch)
+        for pair, expected_calls in ((unique, 0), (tied, 2)):
             calls.clear()
-            assert li_normalize_both(a, b, 2) == expected
+            assert _both(*pair, 2) == expected[pair]
             assert len(calls) == expected_calls
-        assert li_normalize_both(*unique, 2) == ((2, 2, 2, 2, 1), (2, 2, 1, 1, 2))
+        assert _both(*unique, 2) == ((2, 2, 2, 2, 1), (2, 2, 1, 1, 2))
+        # in one batch, Hungarian runs on the tied pair's table and its transpose only
+        swapped = ((1, 2), (2, 1))
+        calls.clear()
+        assert li_normalize_pairs([swapped, tied, swapped], 2) == [swapped, expected[tied], swapped]
+        assert calls == [[[-1, 0], [-1, 0]], [[-1, -1], [0, 0]]]
 
     def test_checks_the_pair(self):
         with pytest.raises(DimensionError):
-            li_normalize_both((1, 2), (1, 2, 3), 3)
+            _both((1, 2), (1, 2, 3), 3)
         with pytest.raises(InputError, match="outside alphabet 1..3"):
-            li_normalize_both((1, 2, 3), (1, 4, 2), 3)
+            _both((1, 2, 3), (1, 4, 2), 3)
         with pytest.raises(InputError, match="non-empty"):
-            li_normalize_both((), (), 0)
+            _both((), (), 0)
 
 
-class TestUniqueOptimum:
-    """The scan returns the unique optimum, the one Hungarian returns, and None on a tie."""
+class TestScanOptimum:
+    """The scan takes the unique optimum, the one Hungarian returns, and
+    leaves the table to Hungarian, in both orders, exactly on a tie."""
 
     @staticmethod
-    def _pin(cost):
-        sigma = grouping._unique_optimum(cost)
+    def _pin(agree, monkeypatch):
+        cost = [[-c for c in row] for row in agree]
         optima = minimum_assignments(cost)
-        assert sigma == (optima[0] if len(optima) == 1 else None)
+        sigma = optima[0] if len(optima) == 1 else None
         if sigma is not None:
             assert hungarian(cost)[0] == sigma
+        a, b = _pair_of_table(agree)
+        calls = _counting_hungarian(monkeypatch)
+        [(b_star, _)] = li_normalize_pairs([(a, b)], len(agree))
+        assert b_star == relabel(b, sigma or hungarian(cost)[0])
+        assert len(calls) == (0 if sigma else 2)
         return sigma
 
     @pytest.mark.parametrize("high,seed", [(12, 21), (3, 22)])  # few values make ties
-    def test_random_tables(self, high, seed):
+    def test_random_tables(self, high, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         found = Counter()
         for _ in range(400):
             k = int(rng.integers(1, grouping.SCAN_K + 1))
-            cost = [[-int(c) for c in row] for row in rng.integers(0, high, size=(k, k))]
-            found[self._pin(cost) is None] += 1
+            agree = [[int(c) for c in row] for row in rng.integers(0, high, size=(k, k))]
+            found[self._pin(agree, monkeypatch) is None] += 1
         assert min(found[True], found[False]) >= 10
 
-    def test_small_tables(self):
-        assert self._pin([[-7]]) == (1,)
-        assert self._pin([[-2, -2], [-1, 0]]) == (2, 1)  # tied rows, unique optimum
-        assert self._pin([[-1, 0], [-1, 0]]) is None
-        assert self._pin([[0, 0], [0, 0]]) is None
+    def test_small_tables(self, monkeypatch):
+        assert self._pin([[7]], monkeypatch) == (1,)
+        assert self._pin([[2, 2], [1, 0]], monkeypatch) == (2, 1)  # tied rows, unique optimum
+        assert self._pin([[1, 0], [1, 0]], monkeypatch) is None
+        assert self._pin([[0, 0], [0, 0]], monkeypatch) is None
 
-    def test_ga_tables_and_their_transposes(self):
+    def test_ga_tables_and_their_transposes(self, monkeypatch):
         rng = np.random.default_rng(23)
         for _ in range(200):
             a, b = _ga_like_pair(rng)
-            cost = grouping._cost_table(a, b, 4)
-            sigma = self._pin(cost)
-            assert self._pin(list(zip(*cost))) == (sigma and invert_permutation(sigma))
+            agree = [[-c for c in row] for row in grouping._cost_table(a, b, 4)]
+            sigma = self._pin(agree, monkeypatch)
+            assert self._pin([list(col) for col in zip(*agree)], monkeypatch) == (sigma and invert_permutation(sigma))
