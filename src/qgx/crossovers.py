@@ -26,7 +26,7 @@ def random_mask(n: int, rng: np.random.Generator) -> Mask:
 
 
 def mask_crossover(p1, p2, m: Mask) -> tuple:
-    """Positionwise selection: mask bit 0 (FIRST) copies from p1, bit 1 from p2."""
+    """Positionwise selection: mask bit 0 copies from p1, bit 1 from p2."""
     if not len(p1) == len(p2) == len(m):
         raise DimensionError(
             f"length mismatch: parents {len(p1)}/{len(p2)}, mask {len(m)}"

@@ -20,8 +20,6 @@ RealVector = tuple[float, ...]
 Permutation = tuple[int, ...]
 Mask = tuple[int, ...]
 
-FIRST = 0  # mask bit: copy position from first parent (1: from the second)
-
 
 def symbol_vector(values: Iterable[int], k: int) -> SymbolVector:
     """Validate and freeze a vector over the alphabet {1..k}."""

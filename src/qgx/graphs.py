@@ -5,9 +5,11 @@ labeling; relabeling is conjugation by a permutation matrix and is an
 isometry of the cellwise Hamming distance (all n^2 cells counted, so a
 symmetric edge difference contributes twice). The quotient distance is
 graph matching: the relabeling of the second graph closest to the first.
-Exact matching scores all n! labelings in one numpy pass over a cached
-table, up to `EXACT_MATCH_CAP` nodes; beyond it a restarted hill climber
-gives an upper bound that must not be trusted for segment guarantees.
+One numpy scorer, `_mismatches`, counts each labeling's mismatched cells:
+over all n! labelings of a cached table up to `EXACT_MATCH_CAP` nodes, and
+beyond it, up to `HEURISTIC_MATCH_CAP`, over the swap neighbours of each
+step of a restarted hill climber, whose upper bound must not be trusted
+for segment guarantees.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .quotient import GroupAction, permutation_group, permutation_table
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
 
 EXACT_MATCH_CAP = 8
+HEURISTIC_MATCH_CAP = 64  # a descent step scores n(n-1)/2 x n^2 int8 cells, 8 MB at 64
 MAX_NODES = 2000  # graphs and problem instances hold n x n tables; 1000 TSP cities take 32 MB
 MAX_RESTARTS = 1000  # cap on outside input; the default is 20
 
@@ -120,40 +123,46 @@ class MatchResult(NamedTuple):
     permutation: Permutation
 
 
+def _mismatches(a_cells: np.ndarray, b_cells: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The cellwise Hamming distance of a against b relabeled by each
+    0-based row of perms: the one score of exact and heuristic matching."""
+    return (b_cells[perms[:, :, None], perms[:, None, :]] != a_cells).sum(axis=(1, 2))
+
+
+def _cells(a: AdjacencyMatrix, b: AdjacencyMatrix, cap: int, kind: str) -> np.ndarray:
+    """a and b stacked as 2 x n x n int8 cells, once they share one size n <= cap."""
+    if len(a) != len(b):
+        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
+    if len(a) > cap:
+        raise SizeCapError(f"{kind} matching capped at n={cap}, got n={len(a)}")
+    return np.array((a, b), dtype=np.int8).reshape(2, len(a), len(a))
+
+
 def quotient_distance_exact(a: AdjacencyMatrix, b: AdjacencyMatrix) -> MatchResult:
     """Exhaustive minimum of H(a, relabeled b) over all n! labelings;
     first optimum in lexicographic permutation order wins ties."""
-    if len(a) != len(b):
-        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n > EXACT_MATCH_CAP:
-        raise SizeCapError(f"exact matching capped at n={EXACT_MATCH_CAP}, got n={n}")
-    p = permutation_table(n)
-    relabeled = np.array(b, dtype=np.int8).reshape(n, n)[p[:, :, None], p[:, None, :]]
-    dists = (relabeled != np.array(a, dtype=np.int8).reshape(n, n)).sum(axis=(1, 2))
+    a_cells, b_cells = _cells(a, b, EXACT_MATCH_CAP, "exact")
+    p = permutation_table(len(a))
+    dists = _mismatches(a_cells, b_cells, p)
     best = int(dists.argmin())  # argmin keeps the first minimum
     return MatchResult(int(dists[best]), tuple(int(v) + 1 for v in p[best]))
 
 
-def _descend(a: AdjacencyMatrix, b: AdjacencyMatrix, p: Permutation) -> tuple[int, Permutation]:
-    """Steepest descent over image transpositions of p."""
-    n = len(a)
-    cur = list(p)
-    cur_d = matrix_hamming(a, conjugate(b, tuple(cur)))
-    while True:
-        best_d, best_swap = cur_d, None
-        for i in range(n):
-            for j in range(i + 1, n):
-                cur[i], cur[j] = cur[j], cur[i]
-                d = matrix_hamming(a, conjugate(b, tuple(cur)))
-                cur[i], cur[j] = cur[j], cur[i]
-                if d < best_d:
-                    best_d, best_swap = d, (i, j)
-        if best_swap is None:
-            return cur_d, tuple(cur)
-        i, j = best_swap
-        cur[i], cur[j] = cur[j], cur[i]
-        cur_d = best_d
+def _descend(a_cells: np.ndarray, b_cells: np.ndarray, cur: np.ndarray) -> tuple[int, Permutation]:
+    """Steepest descent from the 0-based labeling cur, returned 1-based: each
+    step scores the n(n-1)/2 image swaps (i, j), i < j, row by row, and moves to
+    the first at the smallest count while that count is below the current one."""
+    i, j = np.triu_indices(len(cur), 1)
+    swaps = np.tile(np.arange(len(cur)), (len(i), 1))  # row r: the transposition of i[r] and j[r]
+    swaps[np.arange(len(i)), i], swaps[np.arange(len(i)), j] = j, i
+    cur_d = int(_mismatches(a_cells, b_cells, cur[None])[0])
+    while len(swaps):
+        dists = _mismatches(a_cells, b_cells, cur[swaps])
+        best = int(dists.argmin())
+        if dists[best] >= cur_d:
+            break
+        cur, cur_d = cur[swaps[best]], int(dists[best])
+    return cur_d, tuple((cur + 1).tolist())
 
 
 def match_heuristic(
@@ -168,13 +177,12 @@ def match_heuristic(
     best at a strictly lower distance, or at an equal one when its
     permutation is lexicographically smaller. For a fixed rng seed, extra
     restarts only extend the start sequence, so the best never worsens.
+    Above `HEURISTIC_MATCH_CAP` nodes it raises before any draw.
     """
-    if len(a) != len(b):
-        raise DimensionError(f"size mismatch: {len(a)} vs {len(b)}")
+    a_cells, b_cells = _cells(a, b, HEURISTIC_MATCH_CAP, "heuristic")
     best_d, best_p = matrix_hamming(a, b), identity_permutation(len(a))
     for _ in range(max(restarts, 0)):
-        start = random_permutation(len(a), rng)
-        d, p = _descend(a, b, start)
+        d, p = _descend(a_cells, b_cells, np.array(random_permutation(len(a), rng)) - 1)
         if d < best_d or (d == best_d and p < best_p):
             best_d, best_p = d, p
         if best_d == 0:

@@ -48,6 +48,8 @@ def relabeling_action(k: int) -> GroupAction:
 
 
 def _check_pair(a: SymbolVector, b: SymbolVector, k: int) -> None:
+    if not isinstance(k, (int, np.integer)):
+        raise InputError(f"alphabet size k must be an integer, got {k!r}")
     if k > MAX_K:
         raise InputError(f"alphabet size k must be at most {MAX_K}, got {k}")
     require_same_length(a, b)

@@ -8,7 +8,9 @@ over one orbit already gives the two-sided minimum, so normalization
 realizes the quotient distance. A base geometric crossover applied
 after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
-the one quotient mode every family runs (`families.Family.quotient_crossover`).
+`families.Family.quotient_crossover`. The GA runs it per pair for graph
+and symmetric-discrete; for the other four families its generation step
+normalizes the unequal pairs in one `Family.normalize_pairs` call first.
 Sequences, which have no group, take the same path: alignment normalizes
 the pair by stretching both parents.
 

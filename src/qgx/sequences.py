@@ -54,21 +54,24 @@ def _char_masks(s: str) -> dict[str, int]:
     return peq
 
 
-def _distance(peq: dict[str, int], full: int, t: str) -> int:
+def _distance(peq: dict[str, int], full: int, t: str, cols: list | None = None) -> int:
     """Edit distance of s and t from peq = `_char_masks(s)`, full = 2**len(s) - 1.
 
     Bit-parallel (Myers 1999, JACM 46(3); Hyyrö 2001) over Python ints:
     a column of the edit table is two len(s)-bit words of vertical
     deltas, +1 (Pv) and -1 (Mv), and each character of t advances it
     with a fixed number of word operations, O(|t| * ceil(|s|/w)) word
-    operations in all for word width w. The step is the forward pass of
-    `optimal_align` (`_columns`) without the stored columns, and the
-    score is read from the final column: D[m][n] = n + popcount(Pv) -
-    popcount(Mv), where m = len(s) and n = len(t).
+    operations in all for word width w. The score is read from the final
+    column: D[m][n] = n + popcount(Pv) - popcount(Mv), where m = len(s)
+    and n = len(t). This is the one forward pass: given a list, it
+    appends each column j = 1..n as (Pv, Mv, Ph, Mh), the table
+    `optimal_align` walks (see `_columns`).
 
-    Complements are XORs with full, not `~`, so every word stays
-    non-negative (CPython's faster int path); bits 0..m-1 are the same,
-    and no step or read uses the others.
+    Bit r of Pv_j (Mv_j) is set where D[r+1][j] - D[r][j] is +1 (-1); Ph_j,
+    Mh_j are shifted so that bit r marks D[r][j] - D[r][j-1] the same way,
+    for rows r = 0..len(s). Complements are XORs with full, not `~`, so
+    every word stays non-negative (CPython's faster int path); bits
+    0..m-1 are the same, and no step or read uses the others.
     """
     pv, mv = full, 0
     for ch in t:
@@ -80,6 +83,8 @@ def _distance(peq: dict[str, int], full: int, t: str) -> int:
         mh = (pv & xh) << 1
         pv = (mh | ((xv | ph) ^ full)) & full
         mv = ph & xv
+        if cols is not None:
+            cols.append((pv, mv, ph, mh))
     return len(t) + pv.bit_count() - mv.bit_count()
 
 
@@ -106,29 +111,13 @@ class Alignment(NamedTuple):
 
 
 def _columns(s: str, t: str) -> list[tuple[int, int, int, int]]:
-    """The forward pass of `_distance`, keeping columns 0..len(t) of
-    the table of s against t as (Pv, Mv, Ph, Mh) delta words.
-
-    Bit r of Pv_j (Mv_j) is set where D[r+1][j] - D[r][j] is +1 (-1); Ph_j,
-    Mh_j are shifted so that bit r marks D[r][j] - D[r][j-1] the same way,
-    for rows r = 0..len(s). Column 0 holds Pv = all ones and Ph = Mh = 0.
-    Every word is non-negative (see `_distance`).
-    """
+    """Columns 0..len(t) of the table of s against t, as `_distance`'s
+    (Pv, Mv, Ph, Mh) delta words; column 0 holds Pv = all ones and Ph = Mh = 0."""
     check_sequence(s)
     check_sequence(t)
-    peq = _char_masks(s)
     full = (1 << len(s)) - 1
-    pv, mv = full, 0
-    cols = [(pv, mv, 0, 0)]
-    for ch in t:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = ((mv | ((xh | pv) ^ full)) << 1) | 1
-        mh = (pv & xh) << 1
-        pv = (mh | ((xv | ph) ^ full)) & full
-        mv = ph & xv
-        cols.append((pv, mv, ph, mh))
+    cols = [(full, 0, 0, 0)]
+    _distance(_char_masks(s), full, t, cols)
     return cols
 
 
@@ -190,7 +179,7 @@ def optimal_align(s: str, t: str) -> Alignment:
     ties resolve match > substitute > delete > insert, scanning from the
     end, which pins one canonical alignment per input pair.
 
-    The forward pass (`_columns`) is the recurrence of `edit_distance`,
+    The forward pass (`_columns`) is `edit_distance`'s own `_distance`,
     keeping every column j as four delta words, and the backtrace
     (`_backtrace`) walks that table by single bits. Memory is n + 1
     columns of four ints of about m bits (m = len(s), n = len(t)), where

@@ -13,14 +13,18 @@ assignment solver, which pins the tie rule of the present one.
 simple undirected graph. `loop_random_adjacency`,
 `loop_uniform_edge_crossover` and `loop_mutate_edges` are the former
 per-cell library loops, kept to pin the rng draws of the node-pair forms
-that replaced them. `generator_random_mask` is the former per-scalar
-mask draw, kept the same way; it pins the coins, the int type and the
-draws of the float32 draw that replaced it. `generator_mask_crossover`
-is the former mask crossover, a generator that compared each bit with
-`FIRST`, and `numpy_index_mutate_symbols` is the former symbol mutation,
-which walked numpy indices of the hit positions; they pin the children
-of the `map` form and the draws of the Python-int index form that
-replaced them. `comprehension_mutate_reals` and
+that replaced them. `loop_descend` and `loop_match_heuristic` are the
+former heuristic graph matcher, which scored each swap neighbour with
+its own `conjugate` and `matrix_hamming`; they pin the results and the
+draws of the numpy scorer that replaced it. `generator_random_mask` is
+the former per-scalar mask draw, kept the same way; it pins the coins,
+the int type and the draws of the float32 draw that replaced it.
+`generator_mask_crossover` is the former mask crossover, a generator
+that compared each bit with the former mask constant `FIRST`, and
+`numpy_index_mutate_symbols` is the former symbol mutation, which walked
+numpy indices of the hit positions; they pin the children of the `map`
+form and the draws of the Python-int index form that replaced them.
+`comprehension_mutate_reals` and
 `generator_line_crossover` are the former real-vector mutation, which
 tested every coordinate, and the former line crossover, a generator that
 recomputed 1 - lam per coordinate; they pin the draws and the bits,
@@ -61,9 +65,11 @@ from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
 from qgx.families import FAMILIES, MUTATION_SIGMA, SEQUENCE_ALPHABET, Options
 from qgx.ga import GenerationStats, RunResult, crossover_operator, mutate
-from qgx.genotypes import FIRST
-from qgx.graphs import AdjacencyMatrix
+from qgx.genotypes import identity_permutation, random_permutation
+from qgx.graphs import AdjacencyMatrix, conjugate, matrix_hamming
 from qgx.quotient import GroupAction
+
+FIRST = 0  # the former mask bit that copies a position from the first parent
 
 
 def bfs_swap_distance(p: tuple, q: tuple) -> int:
@@ -230,6 +236,41 @@ def loop_graph_match(a: tuple, b: tuple) -> tuple[int, tuple]:
             best_d, best_p = d, p
             if d == 0:
                 break
+    return best_d, best_p
+
+
+def loop_descend(a: AdjacencyMatrix, b: AdjacencyMatrix, p: tuple) -> tuple[int, tuple]:
+    """The former steepest descent over image transpositions of p, one
+    `conjugate` and `matrix_hamming` per neighbour, swaps row by row."""
+    n = len(a)
+    cur = list(p)
+    cur_d = matrix_hamming(a, conjugate(b, tuple(cur)))
+    while True:
+        best_d, best_swap = cur_d, None
+        for i in range(n):
+            for j in range(i + 1, n):
+                cur[i], cur[j] = cur[j], cur[i]
+                d = matrix_hamming(a, conjugate(b, tuple(cur)))
+                cur[i], cur[j] = cur[j], cur[i]
+                if d < best_d:
+                    best_d, best_swap = d, (i, j)
+        if best_swap is None:
+            return cur_d, tuple(cur)
+        i, j = best_swap
+        cur[i], cur[j] = cur[j], cur[i]
+        cur_d = best_d
+
+
+def loop_match_heuristic(a: AdjacencyMatrix, b: AdjacencyMatrix, restarts: int, rng) -> tuple[int, tuple]:
+    """The former heuristic matcher over `loop_descend`: identity first, one
+    `random_permutation` per restart, lexicographic ties, stop at 0."""
+    best_d, best_p = matrix_hamming(a, b), identity_permutation(len(a))
+    for _ in range(max(restarts, 0)):
+        d, p = loop_descend(a, b, random_permutation(len(a), rng))
+        if d < best_d or (d == best_d and p < best_p):
+            best_d, best_p = d, p
+        if best_d == 0:
+            break
     return best_d, best_p
 
 

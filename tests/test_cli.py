@@ -5,11 +5,13 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgx import cli, problems, suites
+from qgx import cli, graphs, problems, suites
 from qgx.symmetric import SYMMETRIC_FUNCTIONS
 from qgx.verify import VerificationReport
 
@@ -162,6 +164,25 @@ class TestDistance:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == "error: --restarts must be between 1 and 1000, got 1001\n"
+
+    @pytest.mark.parametrize("command", [
+        ["distance", "--mode", "quotient"],
+        ["normalize"],  # normalize takes no --mode: it always normalizes
+        ["crossover", "--mode", "quotient"],
+    ])
+    def test_graph_heuristic_cap(self, capsys, tmp_path, command):
+        paths = [str(tmp_path / "a.edges"), str(tmp_path / "b.edges")]
+        rng = np.random.default_rng(15)
+        for path in paths:
+            Path(path).write_text(graphs.format_edge_list(graphs.random_adjacency(65, 0.5, rng)))
+        assert cli.main([*command, "--family", "graph", *paths]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: heuristic matching capped at n=64, got n=65\n")
+        if command[0] != "normalize":
+            assert cli.main([command[0], "--mode", "raw", "--family", "graph", *paths]) == 0
+        for path in paths:
+            Path(path).write_text("64 0\n")
+        assert cli.main([*command, "--family", "graph", "--restarts", "1", *paths]) == 0
 
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3

@@ -12,6 +12,7 @@ from qgx.families import FAMILIES, Options
 from qgx.genotypes import identity_permutation, invert_permutation, random_permutation
 from qgx.graphs import (
     EXACT_MATCH_CAP,
+    HEURISTIC_MATCH_CAP,
     MAX_NODES,
     adjacency_from_edges,
     conjugate,
@@ -34,6 +35,7 @@ from oracles import (
     brute_graph_distance,
     cellwise_matrix_hamming,
     loop_graph_match,
+    loop_match_heuristic,
     loop_mutate_edges,
     loop_random_adjacency,
     loop_uniform_edge_crossover,
@@ -291,6 +293,30 @@ class TestHeuristic:
             for r in (1, 3, 6, 12, 24)
         ]
         assert all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
+
+    def test_same_result_and_draws_as_the_loop_matcher(self):
+        rng = np.random.default_rng(13)
+        pairs = []
+        for n in range(1, 15):
+            empty, complete = adjacency_from_edges(n, ()), adjacency_from_edges(n, node_pairs(n))
+            a, b, c, d = (random_adjacency(n, float(rng.uniform(0.1, 0.9)), rng) for _ in range(4))
+            pairs += [(a, b), (c, d), (b, c), (empty, b), (a, complete), (empty, complete), (complete, complete)]
+        for i, (a, b) in enumerate(pairs):
+            restarts = 1 + i % 5
+            mine, loop = np.random.default_rng(i), np.random.default_rng(i)
+            result = match_heuristic(a, b, restarts, mine)
+            assert (result.dist, result.permutation) == loop_match_heuristic(a, b, restarts, loop)
+            assert type(result.dist) is int and all(type(v) is int for v in result.permutation)
+            assert mine.bit_generator.state == loop.bit_generator.state
+
+    def test_cap_raises_before_any_draw(self):
+        assert HEURISTIC_MATCH_CAP == 64
+        rng = np.random.default_rng(14)
+        state = rng.bit_generator.state
+        a = adjacency_from_edges(HEURISTIC_MATCH_CAP + 1, ())
+        with pytest.raises(SizeCapError, match="^heuristic matching capped at n=64, got n=65$"):
+            match_heuristic(a, a, 1, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestIqCrossover:
