@@ -16,8 +16,9 @@ family defines it; when the normalizer is exact, it equals the base
 distance of (x*, y*), the Hamming distance of the two rows for
 sequences. The GA runs `quotient_crossover` on both orders of a parent
 pair, except where a family normalizes a generation's unequal pairs in
-one call (`normalize_pairs`), the one place equal parents skip
-normalization: an exact normalizer returns (x, x) for them and draws nothing.
+one call (`normalize_pairs`, a numpy batch, per pair for sequence), the one
+place equal parents skip normalization: an exact normalizer returns (x, x)
+for them and draws nothing.
 
 Entries reach the family modules through the module attribute when they
 are called (`circular.normalize(...)`, never a reference kept from
@@ -27,7 +28,6 @@ import time), so replacing a module attribute reaches every caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Any, Callable
 
 import numpy as np
@@ -90,7 +90,7 @@ class Family:
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (pairs, opts) -> [(normalize(x, y), normalize(y, x)) for each pair], ties included, by
-    # exact work that draws nothing: one numpy pass (grouping, circular) or per pair; else None
+    # exact work that draws nothing: one numpy pass, per pair for sequence; else None
     normalize_pairs: Callable | None = None
 
     @property
@@ -295,7 +295,7 @@ _FAMILIES = (
         metrics={"euclidean": euclidean_distance},
         action=lambda o: symmetric.coordinate_action(o.size),
         normalize=lambda x, y, o, rng: (x, symmetric.normalize_real(x, y)[0]),
-        normalize_pairs=lambda pairs, o: _group_pairs(pairs, starmap(symmetric.normalize_real_both, pairs)),
+        normalize_pairs=lambda pairs, o: _group_pairs(pairs, symmetric.normalize_real_pairs(pairs)),
         quotient_distance=lambda o, rng: symmetric.quotient_euclidean,
         crossover=lambda x, y, rng: crossovers.line_crossover(x, y, float(rng.random())),
         mutate=_mutate_reals,
@@ -343,7 +343,7 @@ _FAMILIES = (
         metrics={"edit": lambda s, t: sequences.edit_distance(s, t), "hamming": hamming_distance},
         action=_no_group,
         normalize=lambda x, y, o, rng: sequences.optimal_align(x, y),
-        normalize_pairs=lambda pairs, o: list(starmap(sequences.optimal_align_both, pairs)),
+        normalize_pairs=lambda pairs, o: [sequences.optimal_align_both(x, y) for x, y in pairs],
         quotient_distance=lambda o, rng: lambda s, t: sequences.edit_distance(s, t),
         crossover=lambda s, t, rng: sequences.tail_padded_crossover(s, t, rng),
         mutate=_mutate_edit,

@@ -100,7 +100,8 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     itself. A family with `Family.normalize_pairs` moves all unequal pairs
     in one call first; its exact normalizers draw nothing and leave equal
     parents unmoved, so every draw stays that of coin, normalize, cross,
-    normalize, cross. Uncrossed pairs are moved too: wasted, but no draw moves.
+    normalize, cross. Uncrossed pairs are moved too: wasted work, at full
+    price only for sequence, the one per-pair entry, but no draw moves.
     """
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")

@@ -60,15 +60,15 @@ def permutation(values: Iterable[int]) -> Permutation:
     return p
 
 
-def stack_pairs(pairs: list, check: Callable) -> np.ndarray:
-    """The pairs' genotypes as one (pairs, 2, n) int array, n the first one's length;
+def stack_pairs(pairs: list, check: Callable, dtype=np.intp) -> np.ndarray:
+    """The pairs' genotypes as one (pairs, 2, n) array of `dtype`, n the first one's length;
     a pair of another length meets `check(x, y)`, which raises on unequal lengths."""
     n = len(pairs[0][0]) if pairs else 0
     for x, y in pairs:
         if len(x) != n or len(y) != n:
             check(x, y)
             raise DimensionError(f"length mismatch across pairs: {n} vs {len(x)}")
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), np.intp, 2 * n * len(pairs))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(pairs)), dtype, 2 * n * len(pairs))
     return flat.reshape(len(pairs), 2, n)
 
 

@@ -10,9 +10,9 @@ after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
 `families.Family.quotient_crossover`. The GA runs it per pair for graph
 and symmetric-discrete; for the other four families its generation step
-normalizes the unequal pairs in one `Family.normalize_pairs` call first.
-Sequences, which have no group, take the same path: alignment normalizes
-the pair by stretching both parents.
+normalizes the unequal pairs in one `Family.normalize_pairs` call first,
+a numpy batch. Sequences, which have no group, align per pair in that call:
+alignment normalizes the pair by stretching both parents.
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.

@@ -5,8 +5,8 @@ coordinate shuffles form an isometry group of both Euclidean and Hamming
 distance, and genotypes that are rearrangements of each other encode the
 same solution. Normalization rearranges the second parent to sit closest
 to the first: for reals by sort-matching (i-th smallest to i-th smallest;
-`normalize_real_both` serves both orders of a GA pair from one sort of
-each), for discrete vectors by a positionwise assignment problem. The
+a GA generation's pairs in one numpy batch, `normalize_real_pairs`), for
+discrete vectors by a positionwise assignment problem. The
 discrete quotient distance is n minus the shared symbols, with multiplicity.
 """
 
@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from .assignment import hungarian
 from .errors import DimensionError
-from .genotypes import Permutation, RealVector, SymbolVector, compose_permutations
+from .genotypes import Permutation, RealVector, SymbolVector, compose_permutations, stack_pairs
 from .metrics import euclidean_distance, require_same_length
 from .quotient import GroupAction, permutation_group
 
@@ -64,10 +66,14 @@ def normalize_real(x: RealVector, y: RealVector) -> tuple[RealVector, float]:
     return y_star, euclidean_distance(x, y_star)
 
 
-def normalize_real_both(x: RealVector, y: RealVector) -> tuple[RealVector, RealVector]:
-    """(normalize_real(x, y)[0], normalize_real(y, x)[0]) from one sort of each vector."""
-    ranks_x, ranks_y = _ranks(x, y)
-    return _matched(ranks_x, ranks_y, y), _matched(ranks_y, ranks_x, x)
+def normalize_real_pairs(pairs: list) -> list[tuple[RealVector, RealVector]]:
+    """[(normalize_real(x, y)[0], normalize_real(y, x)[0]) for each pair (x, y)] from one
+    stable argsort, which keeps `_ranks`' tie rule (-0.0 equals 0.0) and the floats' signs."""
+    xy = stack_pairs(pairs, require_same_length, np.float64)
+    ranks = xy.argsort(axis=2, kind="stable")
+    moved = np.empty_like(xy)  # the r-th smallest of each row to the other row's r-th slot
+    np.put_along_axis(moved, ranks, np.take_along_axis(xy, ranks, axis=2)[:, ::-1], axis=2)
+    return [(tuple(y_star), tuple(x_star)) for y_star, x_star in moved.tolist()]
 
 
 def normalize_discrete(x: SymbolVector, y: SymbolVector) -> tuple[SymbolVector, int]:

@@ -74,8 +74,13 @@ TIED_PAIRS = {
 }
 
 # suite-size pairs miss the batch's edge cases: one label (k = 1), more labels
-# than `grouping.SCAN_K` (Hungarian on every table) and the one-city tour
-EDGE_OPTIONS = {"grouping": [Options(k=1, size=6), Options(k=5, size=8)], "circular": [Options(size=1)]}
+# than `grouping.SCAN_K` (Hungarian on every table), the one-city tour, and
+# real vectors of one coordinate and of the bench GA's 40
+EDGE_OPTIONS = {
+    "grouping": [Options(k=1, size=6), Options(k=5, size=8)],
+    "circular": [Options(size=1)],
+    "symmetric-real": [Options(size=1), Options(size=40)],
+}
 
 
 def _batch_cases():
@@ -99,7 +104,10 @@ def test_normalize_pairs_equals_single_normalize_calls_in_both_orders(name, opts
     pairs += [(x, x) for x, _ in pairs[:10]]
     for batch in ([], pairs[:1], pairs, pairs[::-1]):
         expected = [(family.normalize(x, y, opts, None), family.normalize(y, x, opts, None)) for x, y in batch]
-        assert family.normalize_pairs(batch, opts) == expected
+        got = family.normalize_pairs(batch, opts)
+        # repr as well: == cannot tell -0.0 from 0.0 in a moved real vector
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 # (family, k, good pair, bad pair, what the per-pair check raises on the bad
@@ -117,6 +125,8 @@ BAD_PAIRS = [
      InputError("not a permutation of 1..3: (1, 1, 3)")),
     ("circular", None, ((1, 2, 3), (2, 3, 1)), ((0, 1, 2), (1, 2, 3)),
      InputError("not a permutation of 1..3: (0, 1, 2)")),
+    ("symmetric-real", None, ((1.0, 2.0, 3.0), (3.0, -0.0, 1.0)), ((1.0, 2.0, 3.0), (1.0, 2.0)),
+     DimensionError("length mismatch: 3 vs 2")),
 ]
 
 
@@ -145,7 +155,8 @@ def test_batch_raises_what_the_pair_check_raises_before_any_draw(name, k, good, 
 
 def test_batch_of_several_lengths_is_rejected():
     for name, pairs in [("grouping", [((1, 2), (2, 1)), ((1, 2, 1), (2, 1, 1))]),
-                        ("circular", [((1, 2), (2, 1)), ((1, 2, 3), (2, 3, 1))])]:
+                        ("circular", [((1, 2), (2, 1)), ((1, 2, 3), (2, 3, 1))]),
+                        ("symmetric-real", [((1.0, 2.0), (2.0, 1.0)), ((1.0, 2.0, 0.5), (-0.0, 1.0, 2.0))])]:
         with pytest.raises(DimensionError, match="^length mismatch across pairs: 2 vs 3$"):
             FAMILIES[name].normalize_pairs(pairs, Options(k=2))
 

@@ -1,9 +1,12 @@
-"""Genotype samplers: the same values, element types and draws as their former forms."""
+"""Genotype samplers: the same values, element types and draws as their former forms;
+and `stack_pairs`, the batch normalizers' one array of a generation's pairs."""
 
 import numpy as np
 import pytest
 
-from qgx.genotypes import random_permutation, random_real_vector, random_symbol_vector
+from qgx.errors import DimensionError
+from qgx.genotypes import random_permutation, random_real_vector, random_symbol_vector, stack_pairs
+from qgx.metrics import require_same_length
 from qgx.sequences import random_sequence
 
 from oracles import (
@@ -47,3 +50,20 @@ def test_sampler_matches_its_generator_form(name, n):
             assert type(got) is type(want)
             assert [type(v) for v in got] == [type(v) for v in want]
             assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype,pairs", [
+    (np.intp, [((1, 2, 3), (3, 1, 2)), ((2, 2, 1), (1, 3, 3))]),
+    (np.float64, [((0.0, -0.0, 2.5), (-1.0, 0.0, -0.0)), ((1.0, 1.0, 1.0), (-0.0, 2.5, 0.0))]),
+])
+def test_stack_pairs_keeps_every_value_and_checks_lengths_for_each_dtype(dtype, pairs):
+    stacked = stack_pairs(pairs, require_same_length, dtype)
+    assert stacked.dtype == dtype and stacked.shape == (2, 2, 3)
+    if dtype is np.intp:
+        assert stack_pairs(pairs, require_same_length).dtype == np.intp  # the default
+    assert repr(stacked.tolist()) == repr([list(map(list, pair)) for pair in pairs])
+    assert stack_pairs([], require_same_length, dtype).shape == (0, 2, 0)
+    with pytest.raises(DimensionError, match="^length mismatch: 3 vs 2$"):
+        stack_pairs([pairs[0], (pairs[1][0], pairs[1][1][:2])], require_same_length, dtype)
+    with pytest.raises(DimensionError, match="^length mismatch across pairs: 3 vs 2$"):
+        stack_pairs([pairs[0], (pairs[1][0][:2], pairs[1][1][:2])], require_same_length, dtype)

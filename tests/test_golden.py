@@ -1,6 +1,6 @@
 """Golden replay: outputs recorded once, compared byte for byte.
 
-The recorded files under tests/golden hold the CSVs of both bundled
+The recorded files under tests/golden hold the CSVs of the bundled
 configs, the stdout, stderr and exit code of `qgx distance|normalize|
 crossover|verify` over every family x mode x allowed metric (plus the
 combinations the CLI rejects), and the best series of small GA runs for
@@ -33,7 +33,7 @@ from qgx.problems import Problem, build_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = ("partitioning_demo", "tsp_demo")
+CONFIGS = ("partitioning_demo", "tsp_demo", "symmetric_demo")
 
 # graph inputs, written as edge-list files next to the run
 GRAPHS = {

@@ -16,7 +16,7 @@ from qgx.symmetric import (
     coordinate_action,
     normalize_discrete,
     normalize_real,
-    normalize_real_both,
+    normalize_real_pairs,
     permute_coords,
     quotient_euclidean,
     quotient_hamming,
@@ -27,6 +27,7 @@ from oracles import (
     exhaustive_symmetric_real,
     minimum_assignments,
     normalize_real_assignment,
+    normalize_real_both,
     random_perm,
     random_symbols,
     vectorized_hungarian,
@@ -131,24 +132,49 @@ def _tied_real_pairs(rng, count):
     return pairs
 
 
-class TestNormalizeRealBoth:
-    def test_equals_two_normalize_real_calls_by_repr(self):
+# every draw ties with another value or with a signed zero of the other sign
+TIE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
+
+
+def _by_length(pairs):
+    batches = {}
+    for x, y in pairs:
+        batches.setdefault(len(x), []).append((x, y))
+    return batches
+
+
+class TestNormalizeRealPairs:
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_equals_former_per_pair_sort_by_repr(self, n):
         # repr, not ==, since -0.0 == 0.0 would hide a signed zero in the wrong slot
-        for x, y in _tied_real_pairs(np.random.default_rng(11), 600):
-            both = normalize_real_both(x, y)
-            assert repr(both) == repr((normalize_real(x, y)[0], normalize_real(y, x)[0]))
-            assert repr(FAMILIES["symmetric-real"].normalize(x, y, Options(), None)) == repr((x, both[0]))
+        rng = np.random.default_rng(n)
+        pairs = [(tuple(rng.choice(TIE_VALUES, n).tolist()), tuple(rng.choice(TIE_VALUES, n).tolist()))
+                 for _ in range(60)]
+        pairs += [(x, x) for x, _ in pairs[:5]]
+        for batch in ([], pairs[:1], pairs, pairs[::-1]):
+            assert repr(normalize_real_pairs(batch)) == repr([normalize_real_both(x, y) for x, y in batch])
+
+    def test_equals_two_normalize_real_calls_by_repr(self):
+        for batch in _by_length(_tied_real_pairs(np.random.default_rng(11), 600)).values():
+            expected = [(normalize_real(x, y)[0], normalize_real(y, x)[0]) for x, y in batch]
+            assert repr(normalize_real_pairs(batch)) == repr(expected)
+            family = FAMILIES["symmetric-real"]
+            assert repr(family.normalize_pairs(batch, Options())) == repr(
+                [(family.normalize(x, y, Options(), None), family.normalize(y, x, Options(), None)) for x, y in batch])
 
     def test_moved_parents_are_closest_by_enumeration(self):
-        for x, y in _tied_real_pairs(np.random.default_rng(12), 300):
-            if len(x) <= 6:
-                y_star, x_star = normalize_real_both(x, y)
+        for n, batch in _by_length(_tied_real_pairs(np.random.default_rng(12), 300)).items():
+            if n > 6:
+                continue
+            for (x, y), (y_star, x_star) in zip(batch, normalize_real_pairs(batch)):
                 assert euclidean_distance(x, y_star) == pytest.approx(exhaustive_symmetric_real(x, y), abs=1e-9)
                 assert euclidean_distance(y, x_star) == pytest.approx(exhaustive_symmetric_real(y, x), abs=1e-9)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            normalize_real_both((1.0, 2.0), (1.0,))
+        with pytest.raises(DimensionError, match="^length mismatch: 2 vs 1$"):
+            normalize_real_pairs([((1.0, 2.0), (1.0,))])
+        with pytest.raises(DimensionError, match="^length mismatch across pairs: 1 vs 2$"):
+            normalize_real_pairs([((1.0,), (2.0,)), ((1.0, 2.0), (2.0, 1.0))])
 
 
 class TestNormalizeDiscrete:
