@@ -16,8 +16,8 @@ such count, so its list is the scan of all n rotations. The normalizing
 step is the smallest step that reaches the minimum. The empty tour has
 one rotation, itself, at distance 0.
 
-`normalize_pairs` reads each GA pair's list for both orders; under Hamming
-one count of every city's (pos_x - pos_y) mod n builds all pairs' lists.
+`normalize_pairs` serves the GA, which reads tours under Hamming only: one
+count of every city's (pos_x - pos_y) mod n builds each pair's list for both orders.
 
 Reversal distance is not offered: recombination along reversal
 geodesics is out of reach (sorting by reversals is NP-hard).
@@ -91,23 +91,20 @@ def normalize(x: Permutation, y: Permutation, base: BaseMetric = "hamming") -> P
     return shift(y, dists.index(min(dists)))
 
 
-def normalize_pairs(pairs: list, base: BaseMetric = "hamming") -> list[tuple[Permutation, Permutation]]:
-    """(normalize(x, y, base), normalize(y, x, base)) for each pair of tours of one
-    size n. Rotation is an isometry of both symmetric base metrics, so d(y, shift(x, k))
-    = d(x, shift(y, -k)): the reverse order's smallest step at the minimum is 0 if
-    step 0 is at it, else n minus the largest such step. A bad pair raises as
-    `_distances` does, a tour that is no permutation of 1..n as `permutation` does."""
-    tours = stack_pairs(pairs, lambda x, y: _distances(x, y, base))
+def normalize_pairs(pairs: list) -> list[tuple[Permutation, Permutation]]:
+    """(normalize(x, y), normalize(y, x)) under Hamming for each pair of tours of one
+    size n. Rotation is an isometry, so d(y, shift(x, k)) = d(x, shift(y, -k)): the
+    reverse order's smallest step at the minimum is 0 if step 0 is at it, else n minus
+    the largest such step. A bad pair raises as `_distances` does, a tour that is no
+    permutation of 1..n as `permutation` does."""
+    tours = stack_pairs(pairs, lambda x, y: _distances(x, y, "hamming"))
     count, n, steps = len(pairs), tours.shape[2], max(tours.shape[2], 1)  # the empty tour has one step
     pos = tours.argsort(axis=2)  # pos[p, s, c]: the slot of city c + 1, when tours are permutations
     if not (np.take_along_axis(tours, pos, 2) == np.arange(1, n + 1)).all():
         for x, y in pairs:
             permutation(x), permutation(y)
-    if base != "hamming":  # swap, or a base metric that `_distances` rejects
-        dists = np.array([_distances(x, y, base) for x, y in pairs], np.intp).reshape(count, steps)
-    else:
-        votes = (pos[:, 0] - pos[:, 1]) % steps + (np.arange(count) * steps)[:, None]
-        dists = n - np.bincount(votes.ravel(), minlength=count * steps).reshape(count, steps)
+    votes = (pos[:, 0] - pos[:, 1]) % steps + (np.arange(count) * steps)[:, None]
+    dists = n - np.bincount(votes.ravel(), minlength=count * steps).reshape(count, steps)
     low = dists == dists.min(axis=1, keepdims=True)
     back = np.where(low[:, 0], 0, low[:, ::-1].argmax(axis=1) + 1).tolist()
     return [(shift(y, k), shift(x, j)) for (x, y), k, j in zip(pairs, low.argmax(axis=1).tolist(), back)]

@@ -90,7 +90,8 @@ class Family:
     reads_files: bool = False  # CLI arguments name files holding the text form
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (pairs, opts) -> [(normalize(x, y), normalize(y, x)) for each pair], ties included, by
-    # exact work that draws nothing: one numpy pass, per pair for sequence; else None
+    # exact work that draws nothing: one numpy pass, per pair for sequence; else None. It
+    # serves the family's default metric, the only one the GA uses (`ga.crossover_operator`)
     normalize_pairs: Callable | None = None
 
     @property
@@ -326,7 +327,7 @@ _FAMILIES = (
         metrics=circular.BASE_METRICS,
         action=lambda o: circular.shift_action(o.size),
         normalize=lambda x, y, o, rng: (x, circular.normalize(x, y, _base(o))),
-        normalize_pairs=lambda pairs, o: _group_pairs(pairs, circular.normalize_pairs(pairs, _base(o))),
+        normalize_pairs=lambda pairs, o: _group_pairs(pairs, circular.normalize_pairs(pairs)),
         quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
         crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
         mutate=_mutate_swap,

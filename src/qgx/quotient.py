@@ -8,11 +8,9 @@ over one orbit already gives the two-sided minimum, so normalization
 realizes the quotient distance. A base geometric crossover applied
 after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
-`families.Family.quotient_crossover`. The GA runs it per pair for graph
-and symmetric-discrete; for the other four families its generation step
-normalizes the unequal pairs in one `Family.normalize_pairs` call first,
-a numpy batch. Sequences, which have no group, align per pair in that call:
-alignment normalizes the pair by stretching both parents.
+`families.Family.quotient_crossover`; `ga.crossover_operator` says which
+families the GA normalizes a generation at a time. Sequences, which have
+no group, normalize a pair by aligning it, stretching both parents.
 
 Equivalence classes are never materialized except by `orbit`: a class
 is carried as any representative plus the action.

@@ -30,9 +30,10 @@ tested every coordinate, and the former line crossover, a generator that
 recomputed 1 - lam per coordinate; they pin the draws and the bits,
 signed zeros included, of the forms that replaced them.
 `normalize_real_both` is the former per-pair sort-matching of a GA pair,
-one Python sort of each vector's indices through the library's `_ranks`
-and `_matched`; it pins the values, the tie rule and the signed zeros
-of the one stable numpy argsort per generation that replaced it.
+one stable Python sort of each vector's indices, the r-th smallest of
+each vector moved to the slot of the r-th smallest of the other; it pins
+the values, the tie rule and the signed zeros of the one stable numpy
+argsort per generation that replaced it.
 `two_call_crossover_operator` is the GA's former crossover loop, which
 drew each pair's coin and then ran the single-offspring operator once per
 order, normalizing each time; it pins the rng draws and the results of
@@ -72,7 +73,6 @@ from qgx.ga import GenerationStats, RunResult, crossover_operator, mutate
 from qgx.genotypes import RealVector, identity_permutation, random_permutation
 from qgx.graphs import AdjacencyMatrix, conjugate, matrix_hamming
 from qgx.quotient import GroupAction
-from qgx.symmetric import _matched, _ranks
 
 FIRST = 0  # the former mask bit that copies a position from the first parent
 
@@ -352,8 +352,10 @@ def generator_line_crossover(p1: tuple, p2: tuple, lam: float) -> tuple:
 
 def normalize_real_both(x: RealVector, y: RealVector) -> tuple[RealVector, RealVector]:
     """(normalize_real(x, y)[0], normalize_real(y, x)[0]) from one sort of each vector."""
-    ranks_x, ranks_y = _ranks(x, y)
-    return _matched(ranks_x, ranks_y, y), _matched(ranks_y, ranks_x, x)
+    y_star, x_star = [0.0] * len(y), [0.0] * len(x)
+    for i, j in zip(sorted(range(len(x)), key=x.__getitem__), sorted(range(len(y)), key=y.__getitem__)):
+        y_star[i], x_star[j] = y[j], x[i]
+    return tuple(y_star), tuple(x_star)
 
 
 def two_call_crossover_operator(problem, mode: str):

@@ -177,15 +177,15 @@ class TestAgainstRotationScan:
         assert quotient_distance((1, 1, 1), (2, 3, 2)) == 3
 
 
-def _both(x, y, base="hamming"):
+def _both(x, y):
     """`normalize_pairs` on the one pair (x, y)."""
-    [moved] = normalize_pairs([(x, y)], base)
+    [moved] = normalize_pairs([(x, y)])
     return moved
 
 
 class TestNormalizePairs:
-    """Both orders from each pair's one distance list: one vote count over
-    the whole batch (Hamming) or one scan of the n rotations per pair (swap)."""
+    """Both orders from each pair's one Hamming distance list: one vote count
+    over the whole batch."""
 
     @staticmethod
     def _pairs(rng, n, count):
@@ -194,31 +194,13 @@ class TestNormalizePairs:
             y = shift(x, int(rng.integers(0, n))) if i % 3 == 0 and n else random_perm(rng, n)
             yield x, y
 
-    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
-    def test_equals_two_normalize_calls(self, base):
+    def test_equals_two_normalize_calls(self):
         rng = np.random.default_rng(13)
-        sizes = list(range(12)) + ([100] if base == "hamming" else [])
-        for n in sizes:
+        for n in list(range(12)) + [100]:
             pairs = list(self._pairs(rng, n, 30))
-            expected = [(normalize(x, y, base), normalize(y, x, base)) for x, y in pairs]
-            assert normalize_pairs(pairs, base) == expected
-            assert [_both(x, y, base) for x, y in pairs] == expected
-
-    def test_swap_scans_the_rotations_once(self, monkeypatch):
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return swap_distance(a, b)
-
-        monkeypatch.setitem(BASE_METRICS, "swap", counted)
-        rng = np.random.default_rng(15)
-        for n in (1, 2, 7, 20):
-            pairs = [(random_perm(rng, n), random_perm(rng, n)) for _ in range(3)]
-            expected = [(normalize(x, y, "swap"), normalize(y, x, "swap")) for x, y in pairs]
-            calls.clear()
-            assert normalize_pairs(pairs, "swap") == expected
-            assert len(calls) == 3 * n
+            expected = [(normalize(x, y), normalize(y, x)) for x, y in pairs]
+            assert normalize_pairs(pairs) == expected
+            assert [_both(x, y) for x, y in pairs] == expected
 
     def test_rejects_repeated_values(self):
         # the vote count reads each city's one slot; `normalize` takes repeated
@@ -244,17 +226,12 @@ class TestNormalizePairs:
         y = x[::-1]
         assert _both(x, y) == (shift(y, 1), shift(x, 1))
 
-    @pytest.mark.parametrize("base", sorted(BASE_METRICS))
-    def test_size_mismatch(self, base):
+    def test_size_mismatch(self):
         for x, y in [((1, 2), (1, 2, 3)), ((), (1,)), ((1,), ())]:
             with pytest.raises(DimensionError):
-                normalize(x, y, base)
+                normalize(x, y)
             with pytest.raises(DimensionError):
-                _both(x, y, base)
-
-    def test_bad_base_metric(self):
-        with pytest.raises(ParameterError):
-            _both((1, 2), (2, 1), "euclidean")
+                _both(x, y)
 
 
 class TestEmptyTour:

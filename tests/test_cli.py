@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgx import cli, graphs, problems, suites
+from qgx import cli, graphs, problems, suites, symmetric
 from qgx.symmetric import SYMMETRIC_FUNCTIONS
 from qgx.verify import VerificationReport
 
@@ -183,6 +183,21 @@ class TestDistance:
         for path in paths:
             Path(path).write_text("64 0\n")
         assert cli.main([*command, "--family", "graph", "--restarts", "1", *paths]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["normalize"],
+        ["crossover", "--mode", "quotient"],
+    ])
+    def test_symmetric_discrete_assignment_cap(self, capsys, monkeypatch, command):
+        # the cap raises before the n x n table is built, so the solver never runs
+        monkeypatch.setattr(symmetric, "hungarian", lambda cost: pytest.fail("assignment ran"))
+        n = symmetric.ASSIGNMENT_CAP + 1
+        pair = [" ".join(["1"] * n), " ".join(["1"] * (n - 1) + ["2"])]
+        assert cli.main([*command, "--family", "symmetric-discrete", *pair]) == 2
+        assert capsys.readouterr() == ("", f"error: assignment capped at n={n - 1}, got n={n}\n")
+        # the quotient distance counts symbols and takes any length
+        code, out = run(capsys, "distance", "--family", "symmetric-discrete", "--mode", "quotient", *pair)
+        assert (code, out) == (0, "1")
 
     def test_missing_graph_file(self, capsys):
         assert cli.main(["distance", "--family", "graph", "/nonexistent/a", "/nonexistent/b"]) == 3

@@ -232,6 +232,21 @@ class TestPairCrossoverStep:
         assert result.best_genotype == expected.best_genotype
         assert states == expected_states
 
+    @pytest.mark.parametrize("name", [name for name, family in FAMILIES.items() if family.normalize_pairs])
+    def test_batch_normalizers_see_only_the_default_metric(self, name, monkeypatch):
+        # the GA's options name no metric, which lets `circular.normalize_pairs` serve Hamming only
+        family, seen = FAMILIES[name], []
+
+        def recorded(pairs, opts):
+            seen.append(opts)
+            return family.normalize_pairs(pairs, opts)
+
+        monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, normalize_pairs=recorded))
+        config = _tiny_config()
+        run_ga(STREAM_PROBLEMS[name](), config)
+        assert len(seen) == config.generations
+        assert all(opts.metric is None for opts in seen)
+
     @pytest.mark.parametrize("rate", [1.0, 0.0])
     @pytest.mark.parametrize("mode", ["raw", "quotient"])
     def test_one_operator_per_run_one_call_per_generation(self, mode, rate, monkeypatch):
