@@ -91,7 +91,7 @@ class Family:
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (pairs, opts) -> [(normalize(x, y), normalize(y, x)) for each pair], ties included, by
     # exact work that draws nothing: one numpy pass, per pair for sequence; else None. It
-    # serves the family's default metric, the only one the GA uses (`ga.crossover_operator`)
+    # serves the family's default metric, the only one the GA uses (`ga.normalize`)
     normalize_pairs: Callable | None = None
 
     @property

@@ -25,6 +25,12 @@ MAX_TOURNAMENT = 1024
 MAX_ENTRANTS = 2**20  # a generation draws population x tournament entrants at once
 
 
+def _check_rate(name: str, rate) -> None:
+    """A crossover or mutation rate is an int or float in [0, 1], never a bool."""
+    if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
+        raise ParameterError(f"{name} must be a number in [0,1], got {rate!r}")
+
+
 @dataclass(frozen=True)
 class GAConfig:
     population: int
@@ -44,12 +50,8 @@ class GAConfig:
             raise ParameterError(f"population must be even and >= 2, got {self.population}")
         if self.generations < 1:
             raise ParameterError(f"generations must be >= 1, got {self.generations}")
-        for rate_name in ("crossover_rate", "mutation_rate"):
-            rate = getattr(self, rate_name)
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                raise ParameterError(f"{rate_name} must be a number, got {rate!r}")
-            if not 0.0 <= rate <= 1.0:
-                raise ParameterError(f"{rate_name} must be in [0,1], got {rate}")
+        _check_rate("crossover_rate", self.crossover_rate)
+        _check_rate("mutation_rate", self.mutation_rate)
         if not 1 <= self.tournament <= MAX_TOURNAMENT:
             raise ParameterError(f"tournament must be 1..{MAX_TOURNAMENT}, got {self.tournament}")
         if self.population * self.tournament > MAX_ENTRANTS:
@@ -92,17 +94,35 @@ class RunResult:
     wall_time: float
 
 
+def select(fitness: list, tournament: int, rng: np.random.Generator) -> list[int]:
+    """Phase 1, on `rng_sel`: one draw of population x tournament entrants.
+    Row q's winner, parent q, is its first entrant of least fitness."""
+    entrants = rng.integers(0, len(fitness), size=(len(fitness), tournament)).tolist()
+    return [min(row, key=fitness.__getitem__) for row in entrants]
+
+
+def normalize(pairs: list, batch: Callable | None, opts: Options) -> list:
+    """Phase 2, no draw: per pair (x, y), its moved pairs of both orders. `batch`
+    (`Family.normalize_pairs`) moves the unequal pairs in one call before any coin,
+    so uncrossed pairs are moved too; equal pairs, and all pairs when `batch` is
+    None (raw mode, graph, symmetric-discrete), stay ((x, y), (y, x))."""
+    moved = iter(batch([p for p in pairs if p[0] != p[1]], opts) if batch else ())
+    return [next(moved) if batch and x != y else ((x, y), (y, x)) for x, y in pairs]
+
+
+def recombine(pairs: list, moved: list, cross: Callable, rate: float, rng: np.random.Generator) -> list:
+    """Phase 3, on `rng_cx`: per pair in order, the coin `rng.random() < rate`,
+    then `cross` on both moved orders, or else the unmoved parents."""
+    offspring = []
+    for (x, y), ((x1, y1), (y2, x2)) in zip(pairs, moved):
+        offspring += (cross(x1, y1, rng), cross(y2, x2, rng)) if rng.random() < rate else (x, y)
+    return offspring
+
+
 def crossover_operator(problem: Problem, mode: str) -> Callable:
-    """The crossover step of one generation: (parents, rate, rng) -> the
-    offspring. Each pair (parents 2i, 2i + 1) in turn draws its coin
-    `rng.random() < rate` and, when crossed, yields the children of both
-    orders by the base crossover (raw) or `Family.quotient_crossover`, else
-    itself. A family with `Family.normalize_pairs` moves all unequal pairs
-    in one call first; its exact normalizers draw nothing and leave equal
-    parents unmoved, so every draw stays that of coin, normalize, cross,
-    normalize, cross. Uncrossed pairs are moved too: wasted work, at full
-    price only for sequence, the one per-pair entry, but no draw moves.
-    """
+    """The crossover step, (parents, rate, rng) -> offspring: `normalize` pairs
+    2i, 2i + 1, then `recombine` them by the base crossover, or in quotient mode without
+    `Family.normalize_pairs` (graph, symmetric-discrete) by `Family.quotient_crossover`."""
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
     family = FAMILIES[problem.family]
@@ -112,12 +132,7 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
 
     def step(parents, rate, rng):
         pairs = list(zip(parents[::2], parents[1::2]))
-        moved = iter(batch([p for p in pairs if p[0] != p[1]], opts) if batch else ())
-        offspring = []
-        for x, y in pairs:
-            (x1, y1), (y2, x2) = next(moved) if batch and x != y else ((x, y), (y, x))
-            offspring += (cross(x1, y1, rng), cross(y2, x2, rng)) if rng.random() < rate else (x, y)
-        return offspring
+        return recombine(pairs, normalize(pairs, batch, opts), cross, rate, rng)
 
     return step
 
@@ -131,24 +146,29 @@ def mutate(
     k: int | None = None,
     alphabet: str = SEQUENCE_ALPHABET,
 ):
-    """Family-preserving mutation; rate 0 leaves the genotype unchanged."""
-    if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"mutation rate must be in [0,1], got {rate}")
+    """Phase 4, on `rng_mut`: family-preserving mutation of one offspring;
+    rate 0 leaves the genotype unchanged."""
+    _check_rate("mutation rate", rate)
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     return FAMILIES[family].mutate(genotype, rate, rng, k, alphabet)
 
 
+def evaluate(offspring: list, parents: list, known: list, fitness: Callable) -> list:
+    """Phase 5, no draw: an offspring equal to a parent of its own pair (its
+    own parent checked first) takes that parent's `known` score, any other
+    one `fitness` call. `Problem` states why equal genotypes score equal."""
+    return [known[q] if c == parents[q] else known[q ^ 1] if c == parents[q ^ 1] else fitness(c)
+            for q, c in enumerate(offspring)]
+
+
 def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     """Run the GA; deterministic for a fixed (problem, config) pair.
 
-    Selection draws a generation's population x tournament entrants at once;
-    rows 2i, 2i + 1 serve pair i, each won by its first entrant of least
-    fitness, and one `crossover_operator` step per generation crosses the pairs.
-    An offspring equal to a parent of its own pair (its own parent is
-    checked first) takes that parent's score without a fitness call;
-    `Problem` states why equal genotypes score equal. It still counts as
-    an evaluation, so both modes spend population x (generations + 1)."""
+    A generation runs `select`, one `crossover_operator` step (`normalize`,
+    `recombine`), `mutate` per offspring and `evaluate`, each looked up on this
+    module so that a test or tracer can swap one. A reused parent score still
+    counts as an evaluation: both modes spend population x (generations + 1)."""
     xover = crossover_operator(problem, config.mode)
     alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
 
@@ -165,16 +185,13 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
 
     stats = []
     for gen in range(1, config.generations + 1):
-        entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
-        winners = [min(row, key=fitness.__getitem__) for row in entrants]
+        winners = select(fitness, config.tournament, rng_sel)
         parents = [population[i] for i in winners]
         offspring = [
             mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
             for c in xover(parents, config.crossover_rate, rng_cx)
         ]
-        known = [fitness[i] for i in winners]
-        fits = [known[q] if c == parents[q] else known[q ^ 1] if c == parents[q ^ 1] else problem.fitness(c)
-                for q, c in enumerate(offspring)]
+        fits = evaluate(offspring, parents, [fitness[i] for i in winners], problem.fitness)
         evaluations += size
 
         best_i = min(range(size), key=fits.__getitem__)
@@ -189,10 +206,5 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
             total += f
         stats.append(GenerationStats(gen, elite_fit, total / size, evaluations))
 
-    return RunResult(
-        stats=tuple(stats),
-        best_genotype=elite,
-        best_fitness=elite_fit,
-        evaluations=evaluations,
-        wall_time=time.perf_counter() - start,
-    )
+    return RunResult(tuple(stats), best_genotype=elite, best_fitness=elite_fit,
+                     evaluations=evaluations, wall_time=time.perf_counter() - start)

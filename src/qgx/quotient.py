@@ -8,7 +8,7 @@ over one orbit already gives the two-sided minimum, so normalization
 realizes the quotient distance. A base geometric crossover applied
 after normalization stays inside the quotient segment (`metrics.in_segment`
 under the quotient distance) - that is the induced quotient crossover,
-`families.Family.quotient_crossover`; `ga.crossover_operator` says which
+`families.Family.quotient_crossover`; `ga.normalize` says which
 families the GA normalizes a generation at a time. Sequences, which have
 no group, normalize a pair by aligning it, stretching both parents.
 

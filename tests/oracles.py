@@ -52,11 +52,11 @@ the values, the element types and the draws of the C-level forms that
 replaced them.
 `scalar_tournament` is the GA's former selection, one scalar draw per
 entrant, kept to pin the parents and the draws of the one sized draw per
-generation that replaced it. `run_ga_scoring_every_offspring` is the
-GA's former loop, on the library's crossover step and mutation, which
-called the fitness on every offspring; it pins the results of the loop
-that gives an offspring equal to a parent of its pair that parent's
-score, and it counts those offspring.
+generation that replaced it. `run_ga_scoring_every_offspring` is no
+copy of the GA loop but `run_ga` itself with its evaluate phase swapped
+for the former scoring, one fitness call per offspring; it pins the
+results of the phase that gives an offspring equal to a parent of its
+pair that parent's score, and it counts those offspring.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ import itertools
 from collections import deque
 
 import numpy as np
+import pytest
 
+from qgx import ga
 from qgx.assignment import hungarian
 from qgx.errors import DimensionError, InputError
-from qgx.families import FAMILIES, MUTATION_SIGMA, SEQUENCE_ALPHABET, Options
-from qgx.ga import GenerationStats, RunResult, crossover_operator, mutate
+from qgx.families import FAMILIES, MUTATION_SIGMA, Options
+from qgx.ga import RunResult
 from qgx.genotypes import RealVector, identity_permutation, random_permutation
 from qgx.graphs import AdjacencyMatrix, conjugate, matrix_hamming
 from qgx.quotient import GroupAction
@@ -390,42 +392,18 @@ def scalar_tournament(fitness: list[float], size: int, rng: np.random.Generator)
 
 
 def run_ga_scoring_every_offspring(problem, config) -> tuple[RunResult, int]:
-    """`run_ga` with one fitness call per offspring (wall time left at
-    0), and the number of offspring equal to a parent of their own pair."""
-    xover = crossover_operator(problem, config.mode)
-    alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
-    streams = np.random.SeedSequence(config.seed).spawn(4)
-    rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
+    """`run_ga` with its evaluate phase swapped for one fitness call per
+    offspring, and the number of offspring equal to a parent of their own pair."""
+    repeats = 0
 
-    size = config.population
-    population = [problem.initializer(rng_init) for _ in range(size)]
-    fitness = [problem.fitness(g) for g in population]
-    evaluations = size
-    elite_i = min(range(size), key=fitness.__getitem__)
-    elite, elite_fit = population[elite_i], fitness[elite_i]
-
-    stats, repeats = [], 0
-    for gen in range(1, config.generations + 1):
-        entrants = rng_sel.integers(0, size, size=(size, config.tournament)).tolist()
-        parents = [population[min(row, key=fitness.__getitem__)] for row in entrants]
-        offspring = [
-            mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
-            for c in xover(parents, config.crossover_rate, rng_cx)
-        ]
+    def score_every(offspring, parents, known, fitness):
+        nonlocal repeats
         repeats += sum(c == parents[q] or c == parents[q ^ 1] for q, c in enumerate(offspring))
-        fits = [problem.fitness(g) for g in offspring]
-        evaluations += size
+        return [fitness(c) for c in offspring]
 
-        best_i = min(range(size), key=fits.__getitem__)
-        if fits[best_i] <= elite_fit:
-            elite, elite_fit = offspring[best_i], fits[best_i]
-        else:
-            worst_i = max(range(size), key=fits.__getitem__)
-            offspring[worst_i], fits[worst_i] = elite, elite_fit
-        population, fitness = offspring, fits
-        stats.append(GenerationStats(gen, elite_fit, sum(fits) / size, evaluations))
-
-    return RunResult(tuple(stats), elite, elite_fit, evaluations, wall_time=0.0), repeats
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ga, "evaluate", score_every)
+        return ga.run_ga(problem, config), repeats
 
 
 def normalize_real_assignment(x: tuple, y: tuple) -> tuple[tuple, float]:

@@ -328,6 +328,39 @@ class TestParentScoreReuse:
         assert len(calls) == budget - repeats < budget
 
 
+def _recording(seen, phase, fn):
+    def recorded(*args, **kwargs):
+        seen.append(phase)
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+class TestPhases:
+    """`run_ga` looks each phase up on `qgx.ga`, so one phase can be
+    swapped without a copy of the generation loop."""
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    @pytest.mark.parametrize("name", list(GA_PROBLEMS))
+    def test_a_recorded_evaluate_gives_the_same_run(self, name, mode, monkeypatch):
+        problem, config = GA_PROBLEMS[name](), ga_config(name, mode)
+        expected, seen = run_ga(problem, config), []
+        monkeypatch.setattr(ga, "evaluate", _recording(seen, "evaluate", ga.evaluate))
+        _same_run(run_ga(problem, config), expected)
+        assert seen == ["evaluate"] * config.generations
+
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    @pytest.mark.parametrize("name", ["grouping", "symmetric-discrete", "sequence"])
+    def test_each_generation_runs_the_five_phases_in_order(self, name, mode, monkeypatch):
+        problem, config, seen = STREAM_PROBLEMS[name](), _tiny_config(mode=mode), []
+        expected = run_ga(problem, config)
+        for phase in ("select", "normalize", "recombine", "mutate", "evaluate"):
+            monkeypatch.setattr(ga, phase, _recording(seen, phase, getattr(ga, phase)))
+        _same_run(run_ga(problem, config), expected)
+        generation = ["select", "normalize", "recombine"] + ["mutate"] * config.population + ["evaluate"]
+        assert seen == generation * config.generations
+
+
 def _selection_problem(tied):
     # with tied, fitness takes only the values -1, 0 and 1, so most
     # tournaments hold entrants of equal fitness
@@ -475,8 +508,12 @@ class TestMutate:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_bad_rate(self):
-        with pytest.raises(ParameterError):
-            mutate((1, 2), "grouping", 1.2, np.random.default_rng(0), k=2)
+        # the one rate check that GAConfig makes too
+        for rate in (1.2, "0.5", None, True):
+            with pytest.raises(ParameterError):
+                mutate((1, 2), "grouping", rate, np.random.default_rng(0), k=2)
+            with pytest.raises(ParameterError):
+                GAConfig(population=2, generations=1, mutation_rate=rate)
 
 
 class TestProblemBuilding:
