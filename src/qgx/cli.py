@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs, suites
-from .errors import InputError, QgxError
+from .errors import InputError, QgxError, check_count
 from .families import FAMILIES, Family, Options, format_real
 from .ga import config_from_dict, run_ga
 from .problems import build_problem
@@ -35,8 +35,7 @@ EXIT_INTERNAL = 4
 def _pair(args) -> tuple[Family, Options, tuple]:
     """The family, its options and the two parsed parents of a pair command."""
     family = FAMILIES[args.family]
-    if not 1 <= args.restarts <= graphs.MAX_RESTARTS:
-        raise InputError(f"--restarts must be between 1 and {graphs.MAX_RESTARTS}, got {args.restarts}")
+    check_count("--restarts", args.restarts, 1, graphs.MAX_RESTARTS)
     metric = args.metric or family.default_metric
     if metric not in family.metrics:
         raise InputError(

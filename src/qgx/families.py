@@ -91,7 +91,8 @@ class Family:
     mode_errors: dict = field(default_factory=dict)  # (metric, mode) the CLI rejects -> why
     # (pairs, opts) -> [(normalize(x, y), normalize(y, x)) for each pair], ties included, by
     # exact work that draws nothing: one numpy pass, per pair for sequence; else None. It
-    # serves the family's default metric, the only one the GA uses (`ga.normalize`)
+    # serves the family's default metric, the only one the GA uses (`ga.normalize`);
+    # circular's raises ParameterError on any other
     normalize_pairs: Callable | None = None
 
     @property
@@ -165,6 +166,14 @@ def _base(opts: Options) -> str:
 def _group_pairs(pairs, moved):
     # a group family's `normalize_pairs` from each pair's two moved second parents
     return [((x, y_star), (y, x_star)) for (x, y), (y_star, x_star) in zip(pairs, moved)]
+
+
+def _circular_pairs(pairs, opts):
+    # the batch rotates under Hamming only; the pair check comes first
+    moved = circular.normalize_pairs(pairs)
+    if _base(opts) != "hamming":
+        raise ParameterError(f"the circular batch serves metric 'hamming' only, got {opts.metric!r}")
+    return _group_pairs(pairs, moved)
 
 
 def _graph_exact(opts: Options) -> bool:
@@ -327,7 +336,7 @@ _FAMILIES = (
         metrics=circular.BASE_METRICS,
         action=lambda o: circular.shift_action(o.size),
         normalize=lambda x, y, o, rng: (x, circular.normalize(x, y, _base(o))),
-        normalize_pairs=lambda pairs, o: _group_pairs(pairs, circular.normalize_pairs(pairs)),
+        normalize_pairs=_circular_pairs,
         quotient_distance=lambda o, rng: lambda x, y: circular.quotient_distance(x, y, _base(o)),
         crossover=lambda x, y, rng: crossovers.cycle_crossover(x, y, rng),
         mutate=_mutate_swap,

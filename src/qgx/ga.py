@@ -10,25 +10,18 @@ evaluation, also one that takes a parent's score instead of a fitness call.
 
 from __future__ import annotations
 
-import time
 from dataclasses import MISSING, dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_count, check_rate
 from .families import FAMILIES, SEQUENCE_ALPHABET, Options
 from .problems import Problem
 
 MODES = ("raw", "quotient")
 MAX_TOURNAMENT = 1024
 MAX_ENTRANTS = 2**20  # a generation draws population x tournament entrants at once
-
-
-def _check_rate(name: str, rate) -> None:
-    """A crossover or mutation rate is an int or float in [0, 1], never a bool."""
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool) or not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"{name} must be a number in [0,1], got {rate!r}")
 
 
 @dataclass(frozen=True)
@@ -42,18 +35,13 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "generations", "tournament"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.population < 2 or self.population % 2 != 0:
-            raise ParameterError(f"population must be even and >= 2, got {self.population}")
-        if self.generations < 1:
-            raise ParameterError(f"generations must be >= 1, got {self.generations}")
-        _check_rate("crossover_rate", self.crossover_rate)
-        _check_rate("mutation_rate", self.mutation_rate)
-        if not 1 <= self.tournament <= MAX_TOURNAMENT:
-            raise ParameterError(f"tournament must be 1..{MAX_TOURNAMENT}, got {self.tournament}")
+        check_count("population", self.population, 2)
+        if self.population % 2:
+            raise ParameterError(f"population must be even, got {self.population}")
+        check_count("generations", self.generations, 1)
+        check_rate("crossover_rate", self.crossover_rate)
+        check_rate("mutation_rate", self.mutation_rate)
+        check_count("tournament", self.tournament, 1, MAX_TOURNAMENT)
         if self.population * self.tournament > MAX_ENTRANTS:
             raise ParameterError(
                 f"population x tournament must be at most {MAX_ENTRANTS}, "
@@ -61,8 +49,7 @@ class GAConfig:
             )
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_count("seed", self.seed, 0, 2**64 - 1)
 
 
 def config_from_dict(doc: dict) -> GAConfig:
@@ -91,7 +78,6 @@ class RunResult:
     best_genotype: Any
     best_fitness: float
     evaluations: int
-    wall_time: float
 
 
 def select(fitness: list, tournament: int, rng: np.random.Generator) -> list[int]:
@@ -148,7 +134,7 @@ def mutate(
 ):
     """Phase 4, on `rng_mut`: family-preserving mutation of one offspring;
     rate 0 leaves the genotype unchanged."""
-    _check_rate("mutation rate", rate)
+    check_rate("mutation rate", rate)
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     return FAMILIES[family].mutate(genotype, rate, rng, k, alphabet)
@@ -175,7 +161,6 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
 
-    start = time.perf_counter()
     size = config.population
     population = [problem.initializer(rng_init) for _ in range(size)]
     fitness = [problem.fitness(g) for g in population]
@@ -206,5 +191,4 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
             total += f
         stats.append(GenerationStats(gen, elite_fit, total / size, evaluations))
 
-    return RunResult(tuple(stats), best_genotype=elite, best_fitness=elite_fit,
-                     evaluations=evaluations, wall_time=time.perf_counter() - start)
+    return RunResult(tuple(stats), best_genotype=elite, best_fitness=elite_fit, evaluations=evaluations)

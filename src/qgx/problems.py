@@ -10,14 +10,13 @@ partitioning and coloring, share one random-graph instance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .circular import leg_lengths, tour_length
-from .errors import InputError
+from .errors import InputError, ParameterError, check_count, check_finite, check_rate
 from .families import FAMILIES, SEQUENCE_ALPHABET
 from .genotypes import (
     random_permutation,
@@ -60,36 +59,14 @@ class Problem:
             raise InputError(f"unknown family {self.family!r}")
 
 
-def _check_count(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise InputError(f"{name} must be at most {maximum}, got {value}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_probability(name: str, value) -> None:
-    if not _is_number(value) or not 0 <= value <= 1:
-        raise InputError(f"{name} must be a number in [0, 1], got {value!r}")
-
-
-def _check_finite(name: str, value) -> None:
-    # NaN fails the comparison, and so does an int too large for a float
-    if not _is_number(value) or not abs(value) <= sys.float_info.max:
-        raise InputError(f"{name} must be a finite number, got {value!r}")
-
-
 def _labeling_edges(label: str, nodes, k, edge_prob, instance_seed, **finite) -> list:
     """Check a labeling problem's fields (shared ones first), then draw its 0-based edges."""
-    _check_count("nodes", nodes, 1, MAX_NODES)
-    _check_count(label, k, 1, MAX_K)
-    _check_probability("edge_prob", edge_prob)
-    _check_count("instance_seed", instance_seed, 0)
+    check_count("nodes", nodes, 1, MAX_NODES)
+    check_count(label, k, 1, MAX_K)
+    check_rate("edge_prob", edge_prob)
+    check_count("instance_seed", instance_seed, 0)
     for field, value in finite.items():
-        _check_finite(field, value)
+        check_finite(field, value)
     graph = random_adjacency(nodes, edge_prob, np.random.default_rng(instance_seed))
     return [(u - 1, v - 1) for u, v in edges_of(graph)]
 
@@ -152,10 +129,10 @@ def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
 
     The instance holds a cities x cities leg table, so `cities` is capped
     at `MAX_NODES` (about 4M table floats); a larger count raises
-    InputError before the table is built.
+    ParameterError before the table is built.
     """
-    _check_count("cities", cities, 3, MAX_NODES)
-    _check_count("instance_seed", instance_seed, 0)
+    check_count("cities", cities, 3, MAX_NODES)
+    check_count("instance_seed", instance_seed, 0)
     rng = np.random.default_rng(instance_seed)
     legs = leg_lengths(tuple((float(x), float(y)) for x, y in rng.random((cities, 2))))
     return Problem(
@@ -177,12 +154,12 @@ def symmetric_problem(
         raise InputError(
             f"unknown symmetric function {function!r}; choose from {sorted(SYMMETRIC_FUNCTIONS)}"
         )
-    _check_count("length", length, 1, MAX_NODES)  # the genotype cap of every other problem
-    _check_finite("low", low)
-    _check_finite("high", high)
+    check_count("length", length, 1, MAX_NODES)  # the genotype cap of every other problem
+    check_finite("low", low)
+    check_finite("high", high)
     # finite bounds can still be too far apart for a float
     if not low <= high or not math.isfinite(high - low):
-        raise InputError(f"need finite low <= high, got low={low!r}, high={high!r}")
+        raise ParameterError(f"need finite low <= high, got low={low!r}, high={high!r}")
     return Problem(
         name=f"symmetric:{function}(n={length})",
         family="symmetric-real",

@@ -12,12 +12,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_count
 from .metrics import Metric
 from .quotient import GroupAction, orbit
 
 Sampler = Callable[[np.random.Generator], Any]
-MAX_TRIALS = 10**6  # cap on outside input; the acceptance suite runs 3500
+MAX_TRIALS = 10**6  # cap on trials and pair checks; the acceptance suite runs 3500 trials
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,7 @@ class _Tally:
     """A suite's check counts; fewer than one trial would report ok on no check."""
 
     def __init__(self, suite: str, trials: int):
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
-        if trials > MAX_TRIALS:
-            raise ParameterError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+        check_count("trials", trials, 1, MAX_TRIALS)
         self.suite = suite
         self.checks = 0
         self.violations = 0
@@ -181,6 +178,7 @@ def verify_quotient_metric(
     base metric's per-call cost sets the time of a quotient suite.
     """
     tally = _Tally(f"quotient-metric[{action.name}]", trials)
+    check_count("pair_checks", pair_checks, 0, MAX_TRIALS)
     qd = quotient_dist
     for _ in range(trials):
         x, y, z = sampler(rng), sampler(rng), sampler(rng)

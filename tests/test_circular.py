@@ -233,6 +233,17 @@ class TestNormalizePairs:
             with pytest.raises(DimensionError):
                 _both(x, y)
 
+    @pytest.mark.parametrize("metric", ["swap", "edit"])
+    def test_family_batch_refuses_a_metric_other_than_hamming(self, metric):
+        # under swap, `normalize` keeps y here, while the Hamming batch would rotate it
+        x, y = (1, 2, 3, 4, 5), (2, 1, 4, 3, 5)
+        assert normalize(x, y, "swap") == y
+        assert _both(x, y)[0] == (5, 2, 1, 4, 3)
+        family = FAMILIES["circular"]
+        with pytest.raises(ParameterError, match=f"^the circular batch serves metric 'hamming' only, got '{metric}'$"):
+            family.normalize_pairs([(x, y)], Options(metric=metric))
+        assert family.normalize_pairs([(x, y)], Options(metric="hamming")) == [((x, (5, 2, 1, 4, 3)), (y, _both(x, y)[1]))]
+
 
 class TestEmptyTour:
     def test_shift(self):

@@ -163,7 +163,7 @@ class TestDistance:
         code = cli.main(["distance", "--family", "graph", "--restarts", "1001", *map(str, paths)])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
-        assert err == "error: --restarts must be between 1 and 1000, got 1001\n"
+        assert err == "error: --restarts must be at most 1000, got 1001\n"
 
     @pytest.mark.parametrize("command", [
         ["distance", "--mode", "quotient"],
@@ -523,7 +523,7 @@ class TestGa:
     def test_tournament_over_cap_exits_two(self, capsys, tmp_path):
         config = self._write_config(tmp_path, tournament=1025)
         assert cli.main(["ga", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "tournament must be 1..1024, got 1025" in capsys.readouterr().err
+        assert "tournament must be at most 1024, got 1025" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("mutation_rate", "0.5"), ("crossover_rate", True)])
     def test_non_numeric_rates_exit_two(self, capsys, tmp_path, field, value):

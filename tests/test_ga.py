@@ -594,12 +594,12 @@ class TestProblemBuilding:
 
     @pytest.mark.parametrize("build,params,message", [
         (partitioning_problem, {"instance_seed": -1, "balance_weight": "x"},
-         "instance_seed must be an integer >= 0, got -1"),
+         "instance_seed must be >= 0, got -1"),
         (coloring_problem, {"colors": 0, "edge_prob": 2},
-         "colors must be an integer >= 1, got 0"),
+         "colors must be >= 1, got 0"),
     ])
     def test_labeling_problems_report_the_first_bad_field(self, build, params, message):
-        with pytest.raises(InputError) as info:
+        with pytest.raises(ParameterError) as info:
             build(**params)
         assert str(info.value) == message
 

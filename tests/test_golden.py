@@ -33,7 +33,7 @@ from qgx.problems import Problem, build_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIGS = ("partitioning_demo", "tsp_demo", "symmetric_demo")
+CONFIGS = tuple(sorted(path.stem for path in (ROOT / "configs").glob("*.json")))
 
 # graph inputs, written as edge-list files next to the run
 GRAPHS = {

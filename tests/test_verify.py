@@ -1,6 +1,8 @@
 """Verification operations: positive runs on real groups, negative controls
 on deliberately broken constructions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,26 @@ def test_verifiers_refuse_runs_without_checks(name, trials):
 def test_verifiers_refuse_more_than_max_trials(name, trials):
     with pytest.raises(ParameterError, match=f"trials must be at most 1000000, got {trials}$"):
         VERIFIERS[name](trials)
+
+
+@pytest.mark.parametrize("trials", [2.5, True, "3"])
+@pytest.mark.parametrize("name", VERIFIERS)
+def test_verifiers_refuse_trials_that_are_not_integers(name, trials):
+    # a float would reach `range()` as a TypeError, and True would run one trial
+    with pytest.raises(ParameterError, match=f"^trials must be an integer, got {re.escape(repr(trials))}$"):
+        VERIFIERS[name](trials)
+
+
+@pytest.mark.parametrize("pair_checks,message", [
+    (2.5, "pair_checks must be an integer, got 2.5"),
+    (-1, "pair_checks must be >= 0, got -1"),
+    (verify.MAX_TRIALS + 1, "pair_checks must be at most 1000000, got 1000001"),
+])
+def test_quotient_verifier_refuses_bad_pair_checks(pair_checks, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        verify_quotient_metric(
+            _SWAP_LABELS, hamming_distance, _symbols(3, 2), np.random.default_rng(0), 5,
+            quotient_dist=_enumerated(_SWAP_LABELS, hamming_distance), pair_checks=pair_checks)
 
 
 # broken distances on symbol vectors, each breaking one law of a pseudometric
