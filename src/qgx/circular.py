@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, check_choice
 from .genotypes import Permutation, permutation, stack_pairs
 from .metrics import hamming_distance, swap_distance
 from .quotient import GroupAction
@@ -64,8 +64,7 @@ def _distances(x: Permutation, y: Permutation, base: str) -> list[int]:
     the empty tour."""
     if len(x) != len(y):
         raise DimensionError(f"size mismatch: {len(x)} vs {len(y)}")
-    if base not in BASE_METRICS:
-        raise ParameterError(f"base metric must be one of {sorted(BASE_METRICS)}, got {base!r}")
+    check_choice("base metric", base, BASE_METRICS)
     n = len(x)
     if base == "swap":
         d = BASE_METRICS[base]

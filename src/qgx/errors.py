@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all modules, and the one check on run parameters:
-`check_count`, `check_rate` and `check_finite` test each number passed in from
-outside (GA config, problem builders, verify's trials, the CLI's --restarts) and
-raise `ParameterError`, which the CLI reports in one line with exit 2."""
+"""Exception hierarchy shared by all modules, and the checks on run parameters:
+`check_count`, `check_rate` and `check_finite` for each number passed in from
+outside, `check_choice` for each name that picks a registry entry (family, suite,
+problem, symmetric function, GA mode, base metric). Each raises `ParameterError`,
+which the CLI reports in one line with exit 2."""
 
 import sys
 
@@ -51,3 +52,9 @@ def check_finite(name: str, value) -> None:
     # NaN fails the comparison, and so does an int too large for a float
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not abs(value) <= sys.float_info.max:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_choice(name: str, value, choices) -> None:
+    """`value` is a str in `choices`, a tuple or a dict of names."""
+    if not isinstance(value, str) or value not in choices:
+        raise ParameterError(f"unknown {name} {value!r}; choose from {tuple(choices)}")

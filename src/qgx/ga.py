@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import InputError, ParameterError, check_count, check_rate
+from .errors import InputError, ParameterError, check_choice, check_count, check_rate
 from .families import FAMILIES, SEQUENCE_ALPHABET, Options
 from .problems import Problem
 
@@ -47,8 +47,7 @@ class GAConfig:
                 f"population x tournament must be at most {MAX_ENTRANTS}, "
                 f"got {self.population} x {self.tournament}"
             )
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_choice("mode", self.mode, MODES)
         check_count("seed", self.seed, 0, 2**64 - 1)
 
 
@@ -109,8 +108,7 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     """The crossover step, (parents, rate, rng) -> offspring: `normalize` pairs
     2i, 2i + 1, then `recombine` them by the base crossover, or in quotient mode without
     `Family.normalize_pairs` (graph, symmetric-discrete) by `Family.quotient_crossover`."""
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    check_choice("mode", mode, MODES)
     family = FAMILIES[problem.family]
     opts = Options(k=problem.k, size=problem.size)
     batch = family.normalize_pairs if mode == "quotient" else None
@@ -135,8 +133,7 @@ def mutate(
     """Phase 4, on `rng_mut`: family-preserving mutation of one offspring;
     rate 0 leaves the genotype unchanged."""
     check_rate("mutation rate", rate)
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}")
+    check_choice("family", family, FAMILIES)
     return FAMILIES[family].mutate(genotype, rate, rng, k, alphabet)
 
 

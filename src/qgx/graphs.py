@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import crossovers
-from .errors import DimensionError, InputError, SizeCapError
+from .errors import DimensionError, InputError, SizeCapError, check_count
 from .genotypes import (
     Permutation,
     compose_permutations,
@@ -177,11 +177,12 @@ def match_heuristic(
     best at a strictly lower distance, or at an equal one when its
     permutation is lexicographically smaller. For a fixed rng seed, extra
     restarts only extend the start sequence, so the best never worsens.
-    Above `HEURISTIC_MATCH_CAP` nodes it raises before any draw.
+    Restarts outside [1, `MAX_RESTARTS`] or n > `HEURISTIC_MATCH_CAP` raise before any draw.
     """
+    check_count("restarts", restarts, 1, MAX_RESTARTS)
     a_cells, b_cells = _cells(a, b, HEURISTIC_MATCH_CAP, "heuristic")
     best_d, best_p = matrix_hamming(a, b), identity_permutation(len(a))
-    for _ in range(max(restarts, 0)):
+    for _ in range(restarts):
         d, p = _descend(a_cells, b_cells, np.array(random_permutation(len(a), rng)) - 1)
         if d < best_d or (d == best_d and p < best_p):
             best_d, best_p = d, p

@@ -16,7 +16,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .circular import leg_lengths, tour_length
-from .errors import InputError, ParameterError, check_count, check_finite, check_rate
+from .errors import InputError, ParameterError, check_choice, check_count, check_finite, check_rate
 from .families import FAMILIES, SEQUENCE_ALPHABET
 from .genotypes import (
     random_permutation,
@@ -55,8 +55,7 @@ class Problem:
     alphabet: str | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown family {self.family!r}")
+        check_choice("family", self.family, FAMILIES)
 
 
 def _labeling_edges(label: str, nodes, k, edge_prob, instance_seed, **finite) -> list:
@@ -150,10 +149,7 @@ def symmetric_problem(
     low: float = -5.0,
     high: float = 5.0,
 ) -> Problem:
-    if function not in SYMMETRIC_FUNCTIONS:
-        raise InputError(
-            f"unknown symmetric function {function!r}; choose from {sorted(SYMMETRIC_FUNCTIONS)}"
-        )
+    check_choice("symmetric function", function, SYMMETRIC_FUNCTIONS)
     check_count("length", length, 1, MAX_NODES)  # the genotype cap of every other problem
     check_finite("low", low)
     check_finite("high", high)
@@ -207,10 +203,8 @@ def build_problem(doc: dict) -> Problem:
         raise InputError("problem section must be a mapping with a 'name'")
     params = dict(doc)
     name = params.pop("name")
-    builder = _BUILDERS.get(name) if isinstance(name, str) else None
-    if builder is None:
-        raise InputError(f"unknown problem {name!r}; choose from {sorted(_BUILDERS)}")
+    check_choice("problem", name, _BUILDERS)
     try:
-        return builder(**params)
+        return _BUILDERS[name](**params)
     except TypeError as exc:
         raise InputError(f"bad parameters for problem {name!r}: {exc}") from exc

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import families
-from .errors import ParameterError
+from .errors import check_choice
 from .metrics import in_segment
 from .verify import (
     VerificationReport,
@@ -34,8 +34,7 @@ FAMILIES = families.FAMILIES
 
 
 def _family(name: str) -> families.Family:
-    if name not in FAMILIES:
-        raise ParameterError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    check_choice("family", name, FAMILIES)
     return FAMILIES[name]
 
 
@@ -96,12 +95,11 @@ def segment_suite(family: str, trials: int, seed: int) -> VerificationReport:
 
 
 def run_suite(suite: str, family: str, trials: int, seed: int) -> list[VerificationReport]:
+    check_choice("suite", suite, SUITES)
     if suite == "metric":
         return [metric_suite(family, trials, seed)]
     if suite == "group":
         return group_suite(family, trials, seed)
     if suite == "quotient":
         return [quotient_suite(family, trials, seed)]
-    if suite == "segment":
-        return [segment_suite(family, trials, seed)]
-    raise ParameterError(f"unknown suite {suite!r}; choose from {SUITES}")
+    return [segment_suite(family, trials, seed)]

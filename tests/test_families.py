@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from qgx import cli, ga, grouping, problems, sequences, suites
+from qgx import circular, cli, ga, grouping, problems, sequences, suites
 from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
@@ -245,7 +245,29 @@ def test_unknown_family_rejected_everywhere():
         cli.build_parser().parse_args(["distance", "--family", "trees", "1", "1"])
     with pytest.raises(ParameterError, match="choose from"):
         suites.metric_suite("trees", 5, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(ParameterError):
         Problem(name="x", family="trees", fitness=len, initializer=lambda r: ())
     with pytest.raises(ParameterError):
         ga.mutate((1,), "trees", 0.5, np.random.default_rng(0))
+
+
+# each site that picks a registry entry by name: (the name in its message, a call on one value)
+NAME_SITES = {
+    "GAConfig mode": ("mode", lambda v: ga.GAConfig(population=2, generations=1, mode=v)),
+    "crossover_operator mode": ("mode", lambda v: ga.crossover_operator(problems.symmetric_problem(), v)),
+    "mutate family": ("family", lambda v: ga.mutate((1,), v, 0.5, np.random.default_rng(0))),
+    "Problem family": ("family", lambda v: Problem(name="x", family=v, fitness=len, initializer=lambda r: ())),
+    "symmetric_problem function": ("symmetric function", lambda v: problems.symmetric_problem(function=v)),
+    "build_problem name": ("problem", lambda v: problems.build_problem({"name": v})),
+    "suite family": ("family", lambda v: suites.metric_suite(v, 5, 0)),
+    "run_suite suite": ("suite", lambda v: suites.run_suite(v, "grouping", 5, 0)),
+    "circular base metric": ("base metric", lambda v: circular.normalize((1, 2, 3), (2, 3, 1), v)),
+}
+
+
+@pytest.mark.parametrize("value", ["trees", ["x"]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("site", NAME_SITES)
+def test_every_name_check_lists_the_choices(site, value):
+    name, call = NAME_SITES[site]
+    with pytest.raises(ParameterError, match=f"^unknown {name} .*; choose from "):
+        call(value)

@@ -523,7 +523,7 @@ class TestProblemBuilding:
         assert p.k == 2
 
     def test_build_problem_unknown(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             build_problem({"name": "knapsack"})
 
     def test_build_problem_bad_params(self):
@@ -531,7 +531,7 @@ class TestProblemBuilding:
             build_problem({"name": "tsp", "cities": 10, "bogus": 1})
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             Problem(name="x", family="trees", fitness=len, initializer=lambda r: ())
 
     def test_crossover_operator_rejects_bad_mode(self):

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from qgx.errors import DimensionError, InputError, SizeCapError
+from qgx.errors import DimensionError, InputError, ParameterError, SizeCapError
 from qgx.families import FAMILIES, Options
 from qgx.genotypes import identity_permutation, invert_permutation, random_permutation
 from qgx.graphs import (
     EXACT_MATCH_CAP,
     HEURISTIC_MATCH_CAP,
     MAX_NODES,
+    MAX_RESTARTS,
     adjacency_from_edges,
     conjugate,
     conjugation_action,
@@ -317,6 +318,21 @@ class TestHeuristic:
         with pytest.raises(SizeCapError, match="^heuristic matching capped at n=64, got n=65$"):
             match_heuristic(a, a, 1, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("restarts", [0, -5, 2.5, True, MAX_RESTARTS + 1])
+    def test_bad_restarts_raise_before_any_draw(self, restarts):
+        base = np.random.default_rng(15)
+        a, b = random_adjacency(9, 0.5, base), random_adjacency(9, 0.5, base)
+        graph_distance = FAMILIES["graph"].quotient_distance
+        for call in (
+            lambda rng: match_heuristic(a, b, restarts, rng),
+            lambda rng: graph_distance(Options(restarts=restarts), rng)(a, b),
+        ):
+            rng = np.random.default_rng(16)
+            state = rng.bit_generator.state
+            with pytest.raises(ParameterError, match="^restarts must be "):
+                call(rng)
+            assert rng.bit_generator.state == state
 
 
 class TestIqCrossover:
