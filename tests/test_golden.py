@@ -28,7 +28,7 @@ import pytest
 
 from qgx import cli
 from qgx.ga import GAConfig, run_ga
-from qgx.graphs import random_adjacency
+from qgx.graphs import EXACT_MATCH_CAP, random_adjacency
 from qgx.problems import Problem, build_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,13 +126,13 @@ def record_cli(tmp: Path) -> dict:
     return record
 
 
-def _graph_problem(size):
+def _graph_problem(nodes):
     def fitness(a):
         # nodes whose degree is not 2
         return float(sum(abs(sum(row) - 2) for row in a))
 
     return Problem(name="graph-degree", family="graph", fitness=fitness,
-                   initializer=lambda rng: random_adjacency(6, 0.5, rng), size=size)
+                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng), size=nodes)
 
 
 def _discrete_problem():
@@ -154,7 +154,7 @@ GA_PROBLEMS = {
     "symmetric": lambda: build_problem({"name": "symmetric", "function": "sorted_poly", "length": 5}),
     "sequence": lambda: build_problem({"name": "sequence", "target": "acgtta"}),
     "graph-exact": lambda: _graph_problem(6),
-    "graph-heuristic": lambda: _graph_problem(None),
+    "graph-heuristic": lambda: _graph_problem(EXACT_MATCH_CAP + 1),
     "symmetric-discrete": _discrete_problem,
 }
 
