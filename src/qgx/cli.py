@@ -45,7 +45,7 @@ def _pair(args) -> tuple[Family, Options, tuple]:
     k = family.resolve_k(args.first, args.second, args.k)
     texts = (Path(t).read_text() if family.reads_files else t for t in (args.first, args.second))
     a, b = (family.parse(text, k) for text in texts)
-    return family, Options(k=k, metric=metric, size=len(a), restarts=args.restarts), (a, b)
+    return family, Options(k=k, metric=metric, restarts=args.restarts), (a, b)
 
 
 def cmd_distance(args) -> int:

@@ -55,10 +55,10 @@ class Options:
     """Settings an entry may read.
 
     `k` is the alphabet size (grouping); `metric` the base metric name,
-    None for the family's default; `size` the genotype size when known:
-    graph matching is exhaustive up to `graphs.EXACT_MATCH_CAP` nodes and
-    heuristic beyond it or when the size is unknown; `restarts` bounds
-    the heuristic matcher.
+    None for the family's default; `size` the genotype size that
+    `Family.sample` draws and `Family.action` builds its group at (the
+    suites pass `Family.suite`), which no normalizer reads; `restarts`
+    bounds the graph matcher beyond `graphs.EXACT_MATCH_CAP` nodes.
     """
 
     k: int | None = None
@@ -176,24 +176,15 @@ def _circular_pairs(pairs, opts):
     return _group_pairs(pairs, moved)
 
 
-def _graph_exact(opts: Options) -> bool:
-    return opts.size is not None and opts.size <= graphs.EXACT_MATCH_CAP
-
-
 def _graph_match(x, y, opts, rng) -> graphs.MatchResult:
-    if _graph_exact(opts):
+    # exhaustive up to EXACT_MATCH_CAP nodes, drawing nothing; heuristic beyond
+    if len(x) <= graphs.EXACT_MATCH_CAP:
         return graphs.quotient_distance_exact(x, y)
     return graphs.match_heuristic(x, y, opts.restarts, rng)
 
 
 def _graph_normalize(x, y, opts, rng):
     return x, graphs.conjugate(y, _graph_match(x, y, opts, rng).permutation)
-
-
-def _graph_distance(opts, rng) -> Metric:
-    if _graph_exact(opts):
-        return graphs.make_quotient_hamming()
-    return lambda x, y: _graph_match(x, y, opts, rng).dist
 
 
 def _no_group(opts):
@@ -290,7 +281,7 @@ _FAMILIES = (
         metrics={"hamming": lambda a, b: graphs.matrix_hamming(a, b)},
         action=lambda o: graphs.conjugation_action(o.size),
         normalize=_graph_normalize,
-        quotient_distance=_graph_distance,
+        quotient_distance=lambda o, rng: lambda x, y: _graph_match(x, y, o, rng).dist,
         crossover=lambda a, b, rng: graphs.uniform_edge_crossover(a, b, rng),
         mutate=_mutate_edges,
         pair_checks=8,

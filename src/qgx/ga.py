@@ -110,7 +110,7 @@ def crossover_operator(problem: Problem, mode: str) -> Callable:
     `Family.normalize_pairs` (graph, symmetric-discrete) by `Family.quotient_crossover`."""
     check_choice("mode", mode, MODES)
     family = FAMILIES[problem.family]
-    opts = Options(k=problem.k, size=problem.size)
+    opts = Options(k=problem.k)
     batch = family.normalize_pairs if mode == "quotient" else None
     cross = family.quotient_crossover(opts) if mode == "quotient" and batch is None else family.crossover
 
@@ -153,7 +153,6 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
     module so that a test or tracer can swap one. A reused parent score still
     counts as an evaluation: both modes spend population x (generations + 1)."""
     xover = crossover_operator(problem, config.mode)
-    alphabet = SEQUENCE_ALPHABET if problem.alphabet is None else problem.alphabet
 
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rng_init, rng_sel, rng_cx, rng_mut = (np.random.default_rng(s) for s in streams)
@@ -170,7 +169,7 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
         winners = select(fitness, config.tournament, rng_sel)
         parents = [population[i] for i in winners]
         offspring = [
-            mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=alphabet)
+            mutate(c, problem.family, config.mutation_rate, rng_mut, k=problem.k, alphabet=problem.alphabet)
             for c in xover(parents, config.crossover_rate, rng_cx)
         ]
         fits = evaluate(offspring, parents, [fitness[i] for i in winners], problem.fitness)

@@ -44,6 +44,10 @@ class Problem:
     when both products underflow, from subnormal parent coordinates. The
     bundled symmetric functions tell 0.0 from -0.0 at most in the sign of
     a zero fitness, which compares equal.
+
+    `k` (labels 1..k) is read by grouping and symmetric-discrete mutation
+    and by grouping's normalizer, so those two families need it; `alphabet`
+    only by sequence mutation, which inserts and substitutes its letters.
     """
 
     name: str
@@ -51,11 +55,16 @@ class Problem:
     fitness: Callable[[Any], float]
     initializer: Callable[[np.random.Generator], Any]
     k: int | None = None
-    size: int | None = None
-    alphabet: str | None = None
+    alphabet: str = SEQUENCE_ALPHABET
 
     def __post_init__(self):
         check_choice("family", self.family, FAMILIES)
+        if self.family in ("grouping", "symmetric-discrete"):
+            check_count("k", self.k, 1)
+        if not isinstance(self.alphabet, str):
+            raise InputError(f"alphabet must be a string, got {self.alphabet!r}")
+        if not self.alphabet or GAP in self.alphabet:
+            raise InputError(f"alphabet must be non-empty without the gap {GAP!r}, got {self.alphabet!r}")
 
 
 def _labeling_edges(label: str, nodes, k, edge_prob, instance_seed, **finite) -> list:
@@ -77,7 +86,6 @@ def _labeling_problem(kind: str, nodes: int, k: int, fitness: Callable) -> Probl
         fitness=fitness,
         initializer=lambda rng: random_symbol_vector(nodes, k, rng),
         k=k,
-        size=nodes,
     )
 
 
@@ -139,7 +147,6 @@ def random_tsp_problem(cities: int = 20, instance_seed: int = 0) -> Problem:
         family="circular",
         fitness=lambda tour: tour_length(tour, legs),
         initializer=lambda rng: random_permutation(cities, rng),
-        size=cities,
     )
 
 
@@ -161,29 +168,24 @@ def symmetric_problem(
         family="symmetric-real",
         fitness=SYMMETRIC_FUNCTIONS[function],
         initializer=lambda rng: random_real_vector(length, rng, low, high),
-        size=length,
     )
 
 
 def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
-    """Toy string matching: edit distance to a fixed target."""
-    for field, value in (("target", target), ("alphabet", alphabet)):
-        if not isinstance(value, str):
-            raise InputError(f"{field} must be a string, got {value!r}")
+    """Toy string matching: edit distance to a fixed target; `Problem` checks the alphabet."""
+    if not isinstance(target, str):
+        raise InputError(f"target must be a string, got {target!r}")
     check_sequence(target)
-    if not target or not alphabet:
-        raise InputError("target and alphabet must be non-empty")
+    if not target:
+        raise InputError("target must be non-empty")
     if len(target) > MAX_NODES:  # aligning two individuals fills a quadratic table
         raise InputError(f"target must be at most {MAX_NODES} letters, got {len(target)}")
-    if GAP in alphabet:
-        raise InputError(f"alphabet may not contain the gap symbol {GAP!r}: {alphabet!r}")
     distance = edit_distance_to(target)
     return Problem(
         name=f"sequence-match(len={len(target)})",
         family="sequence",
         fitness=lambda s: float(distance(s)),
         initializer=lambda rng: random_sequence(2 * len(target), alphabet, rng),
-        size=len(target),
         alphabet=alphabet,
     )
 

@@ -368,7 +368,7 @@ def two_call_crossover_operator(problem, mode: str):
     family = FAMILIES[problem.family]
     xover = family.crossover
     if mode == "quotient":
-        xover = family.quotient_crossover(Options(k=problem.k, size=problem.size))
+        xover = family.quotient_crossover(Options(k=problem.k))
 
     def loop(parents, rate, rng):
         offspring = []

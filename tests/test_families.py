@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from qgx import circular, cli, ga, grouping, problems, sequences, suites
+from qgx import circular, cli, ga, graphs, grouping, problems, sequences, suites
 from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.problems import Problem
@@ -146,6 +146,10 @@ def test_batch_raises_what_the_pair_check_raises_before_any_draw(name, k, good, 
             family.normalize(*bad, Options(k=k), None)
     if bad[0] == bad[1]:
         return  # the GA step normalizes no equal parents
+    if k == 0:  # no GA step: the problem itself is rejected
+        with pytest.raises(ParameterError, match="^k must be >= 1, got 0$"):
+            Problem(name=name, family=name, fitness=len, initializer=lambda r: None, k=k)
+        return
     # the GA step makes its one batch call before the first coin
     problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None, k=k)
     step = ga.crossover_operator(problem, "quotient")
@@ -170,8 +174,7 @@ def test_ga_pair_step_equals_two_quotient_crossover_calls(name):
     # where a batch or a skip that left the CLI's path would show
     family = FAMILIES[name]
     opts = family.suite
-    problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None,
-                      k=opts.k, size=opts.size)
+    problem = Problem(name=name, family=name, fitness=len, initializer=lambda r: None, k=opts.k)
     step = ga.crossover_operator(problem, "quotient")
     expected = two_call_crossover_operator(problem, "quotient")
     pairs = _pairs(family, 20, 6) + TIED_PAIRS[name]
@@ -215,13 +218,33 @@ def test_readme_library_example():
 def test_heuristic_graph_matching_runs_for_equal_parents():
     # the heuristic matcher draws from rng, so it may not be skipped
     family = FAMILIES["graph"]
-    opts = Options(size=None, restarts=2)
-    x = family.sampler()(np.random.default_rng(5))
+    opts = Options(restarts=2)
+    x = family.sample(np.random.default_rng(5), Options(size=graphs.EXACT_MATCH_CAP + 1))
     rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
     family.quotient_crossover(opts)(x, x, rng_a)
     family.normalize(x, x, opts, rng_b)
     family.crossover(x, x, rng_b)
     assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("nodes", [6, graphs.EXACT_MATCH_CAP + 1])
+def test_graph_matching_is_chosen_by_the_node_count(nodes):
+    # exhaustive up to EXACT_MATCH_CAP nodes, drawing nothing; the restarted
+    # heuristic beyond it; no option names the size
+    family = FAMILIES["graph"]
+    pick = np.random.default_rng(nodes)
+    x, y = (graphs.random_adjacency(nodes, 0.5, pick) for _ in range(2))
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    start = rng.bit_generator.state
+    moved = family.normalize(x, y, Options(), rng)
+    if nodes <= graphs.EXACT_MATCH_CAP:
+        match = graphs.quotient_distance_exact(x, y)
+        assert rng.bit_generator.state == start
+    else:
+        match = graphs.match_heuristic(x, y, 20, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state != start
+    assert moved == (x, graphs.conjugate(y, match.permutation))
+    assert family.quotient_distance(Options(), np.random.default_rng(7))(x, y) == match.dist
 
 
 def test_one_mapping_behind_every_family_list():

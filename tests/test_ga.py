@@ -8,7 +8,7 @@ import pytest
 
 from qgx import ga
 from qgx.errors import InputError, ParameterError
-from qgx.families import FAMILIES, MUTATION_SIGMA
+from qgx.families import FAMILIES, MUTATION_SIGMA, SEQUENCE_ALPHABET
 from qgx.ga import (
     GAConfig,
     config_from_dict,
@@ -171,13 +171,13 @@ class TestRunGa:
 def _graph_problem(nodes):
     return Problem(name="graph-degree", family="graph",
                    fitness=lambda a: float(sum(abs(sum(row) - 2) for row in a)),
-                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng), size=nodes)
+                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng))
 
 
 def _discrete_problem():
     return Problem(name="discrete-count", family="symmetric-discrete",
                    fitness=lambda g: float(sum(v == 1 for v in g)),
-                   initializer=lambda rng: random_symbol_vector(8, 3, rng), k=3, size=8)
+                   initializer=lambda rng: random_symbol_vector(8, 3, rng), k=3)
 
 
 # one problem per family; graphs both at EXACT_MATCH_CAP (exact matching)
@@ -366,7 +366,7 @@ def _selection_problem(tied):
     # tournaments hold entrants of equal fitness
     fitness = (lambda x: float(round(x[0]))) if tied else (lambda x: float(sum(v * v for v in x)))
     return Problem(name="selection", family="symmetric-real", fitness=fitness,
-                   initializer=lambda rng: random_real_vector(3, rng, -1.0, 1.0), size=3)
+                   initializer=lambda rng: random_real_vector(3, rng, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -534,6 +534,24 @@ class TestProblemBuilding:
         with pytest.raises(ParameterError):
             Problem(name="x", family="trees", fitness=len, initializer=lambda r: ())
 
+    @pytest.mark.parametrize("alphabet,message", [
+        ("-a", "alphabet must be non-empty without the gap '-', got '-a'"),
+        ("", "alphabet must be non-empty without the gap '-', got ''"),
+        (3, "alphabet must be a string, got 3"),
+    ])
+    def test_sequence_alphabet_is_checked_when_the_problem_is_built(self, alphabet, message):
+        # mutation inserts its letters: a gap letter would reach raw-mode genotypes
+        hand_built = lambda: Problem(name="s", family="sequence", fitness=len,
+                                     initializer=lambda r: "acgt", alphabet=alphabet)
+        for build in (hand_built, lambda: sequence_problem("acgt", alphabet)):
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_problem_alphabet_defaults_to_the_sequence_alphabet(self):
+        problem = Problem(name="s", family="sequence", fitness=len, initializer=lambda r: "acgt")
+        assert problem.alphabet == SEQUENCE_ALPHABET
+
     def test_crossover_operator_rejects_bad_mode(self):
         problem = symmetric_problem()
         with pytest.raises(ParameterError):
@@ -604,4 +622,4 @@ class TestProblemBuilding:
         assert str(info.value) == message
 
     def test_sequence_target_at_the_cap_is_accepted(self):
-        assert sequence_problem("a" * MAX_NODES).size == MAX_NODES
+        assert sequence_problem("a" * MAX_NODES).name == f"sequence-match(len={MAX_NODES})"

@@ -132,7 +132,7 @@ def _graph_problem(nodes):
         return float(sum(abs(sum(row) - 2) for row in a))
 
     return Problem(name="graph-degree", family="graph", fitness=fitness,
-                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng), size=nodes)
+                   initializer=lambda rng: random_adjacency(nodes, 0.5, rng))
 
 
 def _discrete_problem():
@@ -142,7 +142,7 @@ def _discrete_problem():
     from qgx.genotypes import random_symbol_vector
 
     return Problem(name="discrete-count", family="symmetric-discrete", fitness=fitness,
-                   initializer=lambda rng: random_symbol_vector(8, 3, rng), k=3, size=8)
+                   initializer=lambda rng: random_symbol_vector(8, 3, rng), k=3)
 
 
 GA_PROBLEMS = {

@@ -1,13 +1,14 @@
 """Labeling-independent distance, normalization, and crossover."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qgx import ga, grouping
+from qgx import grouping
 from qgx.assignment import hungarian
-from qgx.errors import DimensionError, InputError
+from qgx.errors import DimensionError, InputError, ParameterError
 from qgx.families import FAMILIES, Options
 from qgx.genotypes import invert_permutation
 from qgx.grouping import li_distance, li_normalize, li_normalize_pairs, relabel
@@ -305,29 +306,20 @@ class TestScanOptimum:
 
 
 class TestMissingK:
-    """A grouping problem built without k runs raw mode, where k is unused,
-    and its quotient mode says what is missing instead of failing a compare."""
+    """Mutation draws labels from 1..k in both modes, so a grouping or
+    symmetric-discrete problem without a usable k is rejected when built,
+    before any run; the single-pair entries name k themselves."""
 
-    MESSAGE = "^alphabet size k must be an integer, got None$"
-
-    def _problem(self, k):
-        return Problem(name="no-k", family="grouping", fitness=lambda g: g.count(1),
-                       initializer=lambda rng: random_symbols(rng, 8, 3), k=k)
-
-    def test_raw_mode_ignores_k(self):
-        config = ga.GAConfig(population=6, generations=3, mode="raw", seed=2)
-        missing, given = (ga.run_ga(self._problem(k), config) for k in (None, 1))
-        assert (missing.stats, missing.best_genotype) == (given.stats, given.best_genotype)
-
-    def test_quotient_mode_raises_before_any_crossover_draw(self):
-        with pytest.raises(InputError, match=self.MESSAGE):
-            ga.run_ga(self._problem(None), ga.GAConfig(population=6, generations=3, seed=2))
-        step = ga.crossover_operator(self._problem(None), "quotient")
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(InputError, match=self.MESSAGE):
-            step([(1, 2, 3), (3, 2, 1)], 1.0, rng)
-        assert rng.bit_generator.state == state
+    @pytest.mark.parametrize("family", ["grouping", "symmetric-discrete"])
+    @pytest.mark.parametrize("k,message", [
+        (None, "k must be an integer, got None"),
+        (2.0, "k must be an integer, got 2.0"),
+        (0, "k must be >= 1, got 0"),
+    ])
+    def test_problem_without_k_is_rejected(self, family, k, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            Problem(name="no-k", family=family, fitness=lambda g: g.count(1),
+                    initializer=lambda rng: random_symbols(rng, 8, 3), k=k)
 
     @pytest.mark.parametrize("k", [None, 2.0, "3"])
     def test_single_pair_entries_name_k(self, k):
