@@ -33,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import circular, crossovers, graphs, grouping, sequences, symmetric
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_count
 from .genotypes import (
     permutation,
     random_permutation,
@@ -202,8 +202,9 @@ def _uniform(x, y, rng):
 
 def _mutate_symbols(g, rate, rng, k, alphabet):
     """Draw rule: n uniforms, then per hit (u < rate), in index order, one
-    integers(1, k) that picks one of the other k - 1 labels."""
-    if k is None or k < 2:
+    integers(1, k) that picks one of the other k - 1 labels; k = 1 draws nothing."""
+    check_count("k", k, 1)
+    if k == 1:
         return g
     out = list(g)
     for i in (rng.random(len(g)) < rate).nonzero()[0].tolist():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError, check_choice, check_count, check_rate
 from .families import FAMILIES, SEQUENCE_ALPHABET, Options
-from .problems import Problem
+from .problems import Problem, scores
 
 MODES = ("raw", "quotient")
 MAX_TOURNAMENT = 1024
@@ -139,10 +139,11 @@ def mutate(
 
 def evaluate(offspring: list, parents: list, known: list, fitness: Callable) -> list:
     """Phase 5, no draw: an offspring equal to a parent of its own pair (its
-    own parent checked first) takes that parent's `known` score, any other
-    one `fitness` call. `Problem` states why equal genotypes score equal."""
-    return [known[q] if c == parents[q] else known[q ^ 1] if c == parents[q ^ 1] else fitness(c)
-            for q, c in enumerate(offspring)]
+    own parent checked first) takes that parent's `known` score, the others
+    one `scores` call. `Problem` states why equal genotypes score equal."""
+    source = [q if c == parents[q] else q ^ 1 if c == parents[q ^ 1] else -1 for q, c in enumerate(offspring)]
+    fresh = iter(scores(fitness, [c for c, q in zip(offspring, source) if q < 0]))
+    return [known[q] if q >= 0 else next(fresh) for q in source]
 
 
 def run_ga(problem: Problem, config: GAConfig) -> RunResult:
@@ -159,7 +160,7 @@ def run_ga(problem: Problem, config: GAConfig) -> RunResult:
 
     size = config.population
     population = [problem.initializer(rng_init) for _ in range(size)]
-    fitness = [problem.fitness(g) for g in population]
+    fitness = scores(problem.fitness, population)
     evaluations = size
     elite_i = min(range(size), key=fitness.__getitem__)
     elite, elite_fit = population[elite_i], fitness[elite_i]

@@ -25,7 +25,7 @@ from .genotypes import (
 )
 from .graphs import MAX_NODES, edges_of, random_adjacency
 from .grouping import MAX_K
-from .sequences import GAP, check_sequence, edit_distance_to, random_sequence
+from .sequences import GAP, check_sequence, edit_distance_to, edit_distances_to, random_sequence
 from .symmetric import SYMMETRIC_FUNCTIONS
 
 
@@ -44,6 +44,11 @@ class Problem:
     when both products underflow, from subnormal parent coordinates. The
     bundled symmetric functions tell 0.0 from -0.0 at most in the sign of
     a zero fitness, which compares equal.
+
+    The batch entry `scores(fitness, genotypes)` returns exactly
+    `[fitness(g) for g in genotypes]`, from one `fitness.batch` call if the
+    fitness has one (the sequence problem's packed edit distance). It is
+    read off `fitness`, so replacing `fitness` replaces it.
 
     `k` (labels 1..k) is read by grouping and symmetric-discrete mutation
     and by grouping's normalizer, so those two families need it; `alphabet`
@@ -65,6 +70,12 @@ class Problem:
             raise InputError(f"alphabet must be a string, got {self.alphabet!r}")
         if not self.alphabet or GAP in self.alphabet:
             raise InputError(f"alphabet must be non-empty without the gap {GAP!r}, got {self.alphabet!r}")
+
+
+def scores(fitness: Callable[[Any], float], genotypes: list) -> list[float]:
+    """`Problem`'s batch entry: exactly `[fitness(g) for g in genotypes]`."""
+    batch = getattr(fitness, "batch", None)
+    return batch(genotypes) if batch else [fitness(g) for g in genotypes]
 
 
 def _labeling_edges(label: str, nodes, k, edge_prob, instance_seed, **finite) -> list:
@@ -171,6 +182,20 @@ def symmetric_problem(
     )
 
 
+class _TargetDistance:
+    """Float edit distance to the target; `batch` scores a list in packed passes.
+    A wrapper, `functools.wraps` included, copies no `batch`."""
+
+    def __init__(self, target: str):
+        self.one, self.many = edit_distance_to(target), edit_distances_to(target)
+
+    def __call__(self, s: str) -> float:
+        return float(self.one(s))
+
+    def batch(self, strs: list[str]) -> list[float]:
+        return [float(d) for d in self.many(strs)]
+
+
 def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
     """Toy string matching: edit distance to a fixed target; `Problem` checks the alphabet."""
     if not isinstance(target, str):
@@ -180,11 +205,10 @@ def sequence_problem(target: str, alphabet: str = SEQUENCE_ALPHABET) -> Problem:
         raise InputError("target must be non-empty")
     if len(target) > MAX_NODES:  # aligning two individuals fills a quadratic table
         raise InputError(f"target must be at most {MAX_NODES} letters, got {len(target)}")
-    distance = edit_distance_to(target)
     return Problem(
         name=f"sequence-match(len={len(target)})",
         family="sequence",
-        fitness=lambda s: float(distance(s)),
+        fitness=_TargetDistance(target),
         initializer=lambda rng: random_sequence(2 * len(target), alphabet, rng),
         alphabet=alphabet,
     )

@@ -13,7 +13,10 @@ triangles between the parents.
 
 A GA crosses each parent pair in both orders, so `optimal_align_both`
 returns both alignments from one forward pass and, on most pairs, one
-backtrace walk.
+backtrace walk. A GA scores a generation against one target, so
+`edit_distances_to` packs its strings into the lanes of one int, each
+under a guard bit that stops carries and shifts, and scores them in one
+walk over the target.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import crossovers
 from .errors import InputError
 
 GAP = "-"
+LANES = 64  # strings per packed int in `edit_distances_to`; reading a score shifts the whole int
 
 
 def check_sequence(s: str) -> str:
@@ -96,6 +100,42 @@ def edit_distance(s: str, t: str) -> int:
 def edit_distance_to(target: str) -> Callable[[str], int]:
     """s -> edit_distance(s, target) over the target's masks (the distance is symmetric)."""
     return functools.partial(_distance, _char_masks(target), (1 << len(target)) - 1)
+
+
+def edit_distances_to(target: str) -> Callable[[list[str]], list[int]]:
+    """strs -> [edit_distance(s, target) for s in strs], one walk over the target per LANES strings.
+
+    `_distance` on the strings packed into one int (Hyyrö, Fredriksson and
+    Navarro 2005, ACM JEA 10), each in len(s) bits under a guard bit, with
+    row 0's `| 1` as `| low`, the lowest bit of every lane. Only a carry and
+    the two shifts move a bit up. `& full` keeps Pv's guard bits 0, so a
+    carry stops at its lane's guard and Mh shifts a 0 into the next lane,
+    and `| low` overwrites what Ph shifts in: no lane bit reads a guard bit."""
+    n, letters = len(target), set(target)
+
+    def chunk(strs: list[str]) -> list[int]:
+        bits = GAP.join(strs)[::-1]  # lane 0 in the low bits
+        zeros = dict.fromkeys(map(ord, set(bits)), "0")  # one translate per eq mask
+        peq = {c: int(bits.translate({**zeros, ord(c): "1"}), 2) for c in letters if ord(c) in zeros}
+        full = int("0" + "0".join(["1" * len(s) for s in reversed(strs)]), 2)
+        low = full & ~(full << 1)
+        pv, mv = full, 0
+        for ch in target:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = ((mv | ((xh | pv) ^ full)) << 1) | low
+            mh = (pv & xh) << 1
+            pv = (mh | ((xv | ph) ^ full)) & full
+            mv = ph & xv
+        out, off = [], 0
+        for s in strs:
+            lane = (1 << len(s)) - 1
+            out.append(n + (pv >> off & lane).bit_count() - (mv >> off & lane).bit_count())
+            off += len(s) + 1
+        return out
+
+    return lambda strs: [d for i in range(0, len(strs), LANES) for d in chunk(strs[i : i + LANES])]
 
 
 class Alignment(NamedTuple):

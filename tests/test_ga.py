@@ -2,6 +2,7 @@
 and genotype closure under mutation."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qgx.problems import (
     coloring_problem,
     partitioning_problem,
     random_tsp_problem,
+    scores,
     sequence_problem,
     symmetric_problem,
 )
@@ -327,6 +329,28 @@ class TestParentScoreReuse:
         budget = config.population * (config.generations + 1)
         assert len(calls) == budget - repeats < budget
 
+    @pytest.mark.parametrize("mode", ["raw", "quotient"])
+    def test_a_sequence_run_scores_each_generation_in_one_packed_call(self, mode, monkeypatch):
+        make, population, generations = BENCH_SHAPED["sequence"]
+        problem = make()
+        config = GAConfig(population=population, generations=generations, mode=mode, seed=0)
+        expected, repeats = run_ga_scoring_every_offspring(problem, config)
+        kind, sizes = type(problem.fitness), []
+
+        def counting(fitness, strs):
+            sizes.append(len(strs))
+            return packed(fitness, strs)
+
+        def one_by_one(fitness, s):
+            raise AssertionError(f"{s!r} scored alone")
+
+        packed = kind.batch
+        monkeypatch.setattr(kind, "batch", counting)
+        monkeypatch.setattr(kind, "__call__", one_by_one)
+        _same_run(run_ga(problem, config), expected)
+        assert len(sizes) == generations + 1 and sizes[0] == population
+        assert sum(sizes) == population * (generations + 1) - repeats
+
 
 def _recording(seen, phase, fn):
     def recorded(*args, **kwargs):
@@ -507,6 +531,21 @@ class TestMutate:
             assert repr(got) == repr(numpy_index_mutate_symbols(g, rate, ref, k, None))
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("family", ["grouping", "symmetric-discrete"])
+    def test_symbol_mutation_without_k_raises_before_any_draw(self, family):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            mutate((1, 2, 3, 1), family, 1.0, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("family", ["grouping", "symmetric-discrete"])
+    def test_symbol_mutation_with_one_label_keeps_the_genotype(self, family):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        assert mutate((1, 1, 1), family, 1.0, rng, k=1) == (1, 1, 1)
+        assert rng.bit_generator.state == state
+
     def test_bad_rate(self):
         # the one rate check that GAConfig makes too
         for rate in (1.2, "0.5", None, True):
@@ -556,6 +595,20 @@ class TestProblemBuilding:
         problem = symmetric_problem()
         with pytest.raises(ParameterError):
             crossover_operator(problem, "both")
+
+    def test_the_batch_entry_is_read_off_the_fitness(self):
+        problem, strs, seen = sequence_problem("acgtacgt"), ["", "acgt", "acgtacgt", "tttt"], []
+
+        @functools.wraps(problem.fitness)
+        def traced(s):
+            seen.append(s)
+            return problem.fitness(s)
+
+        expected = [float(edit_distance(s, "acgtacgt")) for s in strs]
+        assert scores(problem.fitness, strs) == [problem.fitness(s) for s in strs] == expected
+        assert scores(dataclasses.replace(problem, fitness=traced).fitness, strs) == expected
+        assert seen == strs
+        assert scores(len, strs) == [0, 4, 8, 4]
 
     def test_sequence_fitness_is_edit_distance_to_the_target(self):
         # candidates as a ga-sequence run makes them: a 100-letter target,

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qgx import sequences
 from qgx.errors import InputError
@@ -15,6 +15,7 @@ from qgx.sequences import (
     check_sequence,
     edit_distance,
     edit_distance_to,
+    edit_distances_to,
     optimal_align,
     optimal_align_both,
     tail_padded_crossover,
@@ -186,6 +187,44 @@ class TestEditDistance:
         assert (edit_distance(x, y) == 0) == (x == y)
         assert edit_distance(x, y) == edit_distance(y, x)
         assert edit_distance(x, z) <= edit_distance(x, y) + edit_distance(y, z)
+
+
+@st.composite
+def packed_batches(draw):
+    """A target, a batch to score against it and a chunk size: strings of
+    63-65 letters (a lane across a 64-bit boundary), empty strings and the
+    target itself. α occurs only in the target and β only in the strings;
+    both may hold the gap, the letter that joins the lanes."""
+    target = draw(st.text(alphabet="acgt-α", max_size=80))
+    length = st.one_of(st.sampled_from([0, 63, 64, 65]), st.integers(0, 80))
+    batch = draw(st.lists(st.one_of(
+        st.just(target),
+        length.flatmap(lambda n: st.text(alphabet="acgt-β", min_size=n, max_size=n)),
+    ), max_size=10))
+    return target, batch, draw(st.sampled_from([1, 3, sequences.LANES]))
+
+
+class TestPackedEditDistance:
+    @settings(deadline=None)
+    @given(packed_batches())
+    def test_matches_edit_distance_per_string(self, case):
+        target, batch, lanes = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "LANES", lanes)
+            assert edit_distances_to(target)(batch) == [edit_distance(s, target) for s in batch]
+
+    def test_batches_longer_than_one_chunk(self):
+        rng = np.random.default_rng(23)
+        for n in (0, 1, 63, 64, 65, 100):
+            target = "".join("acgt"[i] for i in rng.integers(0, 4, size=n))
+            batch = [random_string(rng, 130, "acgtβ") for _ in range(2 * sequences.LANES)]
+            batch += ["", target, "a" * 63, "c" * 64, "g" * 65]
+            assert edit_distances_to(target)(batch) == [dp_edit_distance(s, target) for s in batch]
+
+    def test_empty_batch_and_empty_target(self):
+        assert edit_distances_to("acgt")([]) == []
+        assert edit_distances_to("")(["", "a", "acgt"]) == [0, 1, 4]
+        assert edit_distances_to("acgt")(["", "acgt", "tgca", "agt"]) == [4, 0, 4, 1]
 
 
 class TestOptimalAlign:
